@@ -1034,6 +1034,86 @@ TEST(DistOptionsTest, ValidateRejectsBadKnobs) {
   EXPECT_TRUE(options.Validate("DistBPA", 3).ok());
 }
 
+// ---- Wire timeline pin ----
+
+// The exact wire cost of fixed queries: message, byte, round and virtual-time
+// totals for fault-free dBPA/dTPUT at R = 1 and R = 2, and the retry/hedge
+// counters of one run under a seeded delay/drop plan. Any change to which
+// requests the coordinator sends, or in what order, moves these numbers.
+struct WireTotals {
+  uint64_t messages_sent;
+  uint64_t replies_received;
+  uint64_t bytes_sent;
+  uint64_t bytes_received;
+  uint64_t rounds;
+  double virtual_ms;
+};
+
+void ExpectWire(const DistStats& stats, const WireTotals& want) {
+  EXPECT_EQ(stats.messages_sent, want.messages_sent);
+  EXPECT_EQ(stats.replies_received, want.replies_received);
+  EXPECT_EQ(stats.bytes_sent, want.bytes_sent);
+  EXPECT_EQ(stats.bytes_received, want.bytes_received);
+  EXPECT_EQ(stats.rounds, want.rounds);
+  EXPECT_DOUBLE_EQ(stats.virtual_ms, want.virtual_ms);
+}
+
+TEST(DistWireTimelineTest, FaultFreeTotalsArePinned) {
+  const Database db = MakeUniformDatabase(2000, 4, 77);
+  SumScorer sum;
+  const TopKQuery query{500, &sum};
+  const WireTotals bpa{2719, 2719, 64384, 146080, 798, 135.94999999999666};
+  const WireTotals tput{83, 83, 6124, 73568, 3, 4.1499999999999932};
+  for (const uint32_t replicas : {1u, 2u}) {
+    SCOPED_TRACE(replicas);
+    InProcessTransport transport =
+        InProcessTransport::PerListOwners(db, replicas);
+    DistOptions options;
+    options.replication_factor = replicas;
+    Coordinator coordinator(&transport, options);
+    ASSERT_TRUE(coordinator.Connect().ok());
+    ASSERT_TRUE(coordinator.ExecuteBpa(query).ok());
+    ExpectWire(coordinator.stats(), bpa);
+    ASSERT_TRUE(coordinator.ExecuteTput(query).ok());
+    ExpectWire(coordinator.stats(), tput);
+  }
+}
+
+TEST(DistWireTimelineTest, SeededDelayDropRunIsPinned) {
+  const Database db = MakeUniformDatabase(2000, 4, 77);
+  SumScorer sum;
+  const TopKQuery query{500, &sum};
+  InProcessTransport inner = InProcessTransport::PerListOwners(db, 2);
+  TransportFaultPlan plan;  // the dist-100k benchmark's delay and drop rates
+  plan.seed = 3;
+  plan.delay_rate = 0.02;
+  plan.drop_rate = 0.005;
+  FaultInjectingTransport transport(&inner, plan);
+  DistOptions options;
+  options.replication_factor = 2;
+  Coordinator coordinator(&transport, options);
+  ASSERT_TRUE(coordinator.Connect().ok());
+  for (const bool tput : {false, true}) {
+    SCOPED_TRACE(tput ? "dTPUT" : "dBPA");
+    const TopKResult result =
+        (tput ? coordinator.ExecuteTput(query) : coordinator.ExecuteBpa(query))
+            .ValueOrDie();
+    EXPECT_EQ(result.completion, Completion::kExact);
+    const DistStats& stats = coordinator.stats();
+    const uint64_t want_retries = tput ? 0 : 2;
+    const uint64_t want_hedges = tput ? 2 : 55;
+    const uint64_t want_hedge_wins = tput ? 2 : 53;
+    const uint64_t want_timeouts = tput ? 0 : 2;
+    const double want_virtual_ms =
+        tput ? 6.1499999999999897 : 262.52615235393665;
+    EXPECT_EQ(stats.retries, want_retries);
+    EXPECT_EQ(stats.hedges, want_hedges);
+    EXPECT_EQ(stats.hedge_wins, want_hedge_wins);
+    EXPECT_EQ(stats.timeouts, want_timeouts);
+    EXPECT_DOUBLE_EQ(stats.virtual_ms, want_virtual_ms);
+  }
+}
+
 TEST(DistCoordinatorTest, RejectsQueriesBeforeConnect) {
   const Database db = MakeUniformDatabase(50, 3, 2);
   SumScorer sum;
