@@ -15,6 +15,17 @@
 
 namespace topk {
 
+/// The splitmix64 finalizer as a pure hash: a high-quality 64-bit mix, cheap
+/// enough to run per access. The seeded fault schedules (access-level and
+/// transport-level) and the coordinator's backoff/breaker jitter are pure
+/// functions of it, so every faulted run replays exactly from its seeds.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// SplitMix64: tiny PRNG used to expand a 64-bit seed into xoshiro state.
 class SplitMix64 {
  public:
@@ -22,10 +33,9 @@ class SplitMix64 {
 
   /// Next 64 pseudo-random bits.
   uint64_t Next() {
-    uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    const uint64_t x = state_;
+    state_ += 0x9e3779b97f4a7c15ULL;
+    return Mix64(x);
   }
 
  private:

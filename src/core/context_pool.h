@@ -1,9 +1,8 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
 // ContextPool: a thread-safe, grow-only pool of reusable ExecutionContexts
-// with stable addresses. QueryEngine and TopKServer both hand out one context
-// per worker slot; the pool owns the contexts so they stay warm across
-// batches (QueryEngine) and across the server's lifetime (TopKServer).
+// with stable addresses. TopKServer hands out one context per worker slot;
+// the pool owns the contexts so they stay warm across the server's lifetime.
 //
 // Thread-safety contract: Get() may be called from any thread (growth is
 // mutex-protected), but the *returned context* is single-owner scratch — two

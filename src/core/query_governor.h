@@ -111,6 +111,11 @@ class QueryGovernor {
   /// result tagged Completion::kCancelled. Cleared by the next Arm().
   void RequestCancel() { cancel_.store(true, std::memory_order_relaxed); }
 
+  /// True while a cancellation is pending (set and not yet cleared by Arm).
+  bool cancel_requested() const {
+    return cancel_.load(std::memory_order_relaxed);
+  }
+
   bool armed() const { return armed_; }
   const GovernorLimits& limits() const { return limits_; }
 

@@ -61,6 +61,26 @@ class GateScorer final : public Scorer {
     entered_cv_.wait(lock, [&] { return entered_; });
   }
 
+  /// Like AwaitEntered, but gives up once `future` resolves: a request that
+  /// never reaches the gate (e.g. expired at dequeue) must not hang the
+  /// test. Returns whether a worker entered.
+  bool AwaitEnteredOrResolved(std::future<Result<TopKResult>>& future) {
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        if (entered_cv_.wait_for(lock, std::chrono::milliseconds(1),
+                                 [&] { return entered_; })) {
+          return true;
+        }
+      }
+      if (future.wait_for(std::chrono::seconds(0)) ==
+          std::future_status::ready) {
+        std::lock_guard<std::mutex> lock(mu_);
+        return entered_;
+      }
+    }
+  }
+
  private:
   mutable std::mutex mu_;
   mutable std::condition_variable open_cv_;
@@ -129,6 +149,96 @@ TEST_F(TopKServerTest, SubmittedRequestsCompleteWithExactResults) {
   EXPECT_EQ(stats.completed, 12u);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.shed_rejected + stats.shed_degraded, 0u);
+}
+
+TEST_F(TopKServerTest, FailedRequestsDoNotAffectTheirNeighbours) {
+  ServerOptions options;
+  options.num_threads = 2;
+  TopKServer server(&db_, options);
+
+  std::vector<TopKQuery> queries = {TopKQuery{3, &sum_}, TopKQuery{7, &sum_}};
+  queries.push_back(TopKQuery{db_.num_items() + 1, &sum_});  // invalid k
+  queries.push_back(TopKQuery{5, nullptr});                  // no scorer
+  queries.push_back(TopKQuery{11, &sum_});
+  std::vector<std::future<Result<TopKResult>>> futures;
+  for (const TopKQuery& query : queries) {
+    futures.push_back(
+        server.Submit(ServerRequest{AlgorithmKind::kTa, query, 0.0}));
+  }
+  std::vector<Result<TopKResult>> results;
+  for (auto& future : futures) {
+    results.push_back(future.get());
+  }
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_TRUE(results[1].ok());
+  EXPECT_TRUE(results[2].status().IsInvalid());
+  EXPECT_TRUE(results[3].status().IsInvalid());
+  EXPECT_TRUE(results[4].ok());
+  EXPECT_EQ(server.stats().completed, 3u);
+  EXPECT_EQ(server.stats().failed, 2u);
+}
+
+TEST_F(TopKServerTest, MixedScorersMatchTheOracle) {
+  ServerOptions options;
+  options.num_threads = 3;
+  TopKServer server(&db_, options);
+  MinScorer min;
+  MaxScorer max;
+  const std::vector<TopKQuery> queries = {
+      TopKQuery{5, &sum_}, TopKQuery{5, &min}, TopKQuery{5, &max}};
+  std::vector<std::future<Result<TopKResult>>> futures;
+  for (const TopKQuery& query : queries) {
+    futures.push_back(
+        server.Submit(ServerRequest{AlgorithmKind::kBpa, query, 0.0}));
+  }
+  auto naive = MakeAlgorithm(AlgorithmKind::kNaive);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    Result<TopKResult> got = futures[i].get();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const TopKResult want = naive->Execute(db_, queries[i]).ValueOrDie();
+    EXPECT_EQ(got.ValueUnsafe().Items(), want.Items()) << "scorer " << i;
+  }
+}
+
+// Two submitting threads share one server: every answer must match the
+// single-threaded run of the same query (run under TSan in CI).
+TEST_F(TopKServerTest, ConcurrentSubmittersShareOneServer) {
+  ServerOptions options;
+  options.num_threads = 2;
+  TopKServer server(&db_, options);
+  const auto submit_all = [&](AlgorithmKind kind, size_t count,
+                              std::vector<Result<TopKResult>>* out) {
+    std::vector<std::future<Result<TopKResult>>> futures;
+    for (size_t i = 0; i < count; ++i) {
+      futures.push_back(server.Submit(
+          ServerRequest{kind, TopKQuery{1 + i % 25, &sum_}, 0.0}));
+    }
+    for (auto& future : futures) {
+      out->push_back(future.get());
+    }
+  };
+  std::vector<Result<TopKResult>> bpa_results;
+  std::vector<Result<TopKResult>> nra_results;
+  std::thread bpa_issuer(
+      [&] { submit_all(AlgorithmKind::kBpa, 24, &bpa_results); });
+  std::thread nra_issuer(
+      [&] { submit_all(AlgorithmKind::kNra, 16, &nra_results); });
+  bpa_issuer.join();
+  nra_issuer.join();
+  auto bpa = MakeAlgorithm(AlgorithmKind::kBpa);
+  auto nra = MakeAlgorithm(AlgorithmKind::kNra);
+  for (size_t i = 0; i < bpa_results.size(); ++i) {
+    ASSERT_TRUE(bpa_results[i].ok());
+    const TopKResult want =
+        bpa->Execute(db_, TopKQuery{1 + i % 25, &sum_}).ValueOrDie();
+    EXPECT_EQ(bpa_results[i].ValueUnsafe().stats, want.stats) << i;
+  }
+  for (size_t i = 0; i < nra_results.size(); ++i) {
+    ASSERT_TRUE(nra_results[i].ok());
+    const TopKResult want =
+        nra->Execute(db_, TopKQuery{1 + i % 25, &sum_}).ValueOrDie();
+    EXPECT_EQ(nra_results[i].ValueUnsafe().stats, want.stats) << i;
+  }
 }
 
 TEST_F(TopKServerTest, CallbacksFireInSubmissionOrderOnOneWorker) {
@@ -261,10 +371,12 @@ TEST_F(TopKServerTest, OverdueInFlightRequestIsCancelledWithCertificate) {
 // flag at run start, so a RequestCancel that lands between slot publication
 // and Arm would be lost if delivered only once. The watchdog re-cancels every
 // still-overdue slot each pass, so the cancel must arrive eventually no
-// matter how the first delivery interleaves with Arm. A parked worker plus a
-// deadline far shorter than the park forces that window every iteration;
-// under TSan this also proves the slot-mutex/atomic discipline of the
-// re-cancel path.
+// matter how the first delivery interleaves with Arm. The worker stays
+// parked until the test observes the cancel flag set on its governor — the
+// park began after Arm, so an observed flag can no longer be cleared — which
+// makes the outcome independent of how promptly the watchdog thread gets
+// scheduled. Under TSan this also proves the slot-mutex/atomic discipline of
+// the re-cancel path.
 TEST_F(TopKServerTest, WatchdogRecancelSurvivesArmRace) {
   for (int iteration = 0; iteration < 25; ++iteration) {
     GateScorer gate;
@@ -276,14 +388,19 @@ TEST_F(TopKServerTest, WatchdogRecancelSurvivesArmRace) {
     ServerRequest request;
     request.kind = AlgorithmKind::kTa;
     request.query = TopKQuery{3, &gate};
-    request.deadline_ms = 1.0;
+    // Far longer than a dequeue takes even on a loaded host (an expired-at-
+    // dequeue request never reaches the gate), far shorter than the park.
+    request.deadline_ms = 20.0;
     auto future = server.Submit(request);
-    // The worker is parked inside the query's first aggregation; the 1 ms
-    // deadline expires while it sits there, so the watchdog fires (and keeps
-    // re-firing) across the park. Whether its first cancel raced Arm's clear
-    // or not, the flag must be set by the time the worker resumes.
-    gate.AwaitEntered();
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    ASSERT_TRUE(gate.AwaitEnteredOrResolved(future))
+        << "iteration " << iteration << ": the request never reached a worker";
+    // The worker is parked inside the query's first aggregation; the
+    // deadline expires while it sits there and the watchdog fires (and keeps
+    // re-firing) across the park. Hold the gate until that cancel is visible.
+    const QueryGovernor& governor = server.worker_context(0).governor();
+    while (!governor.cancel_requested()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
     gate.Open();
 
     Result<TopKResult> got = future.get();

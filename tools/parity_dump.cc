@@ -38,23 +38,22 @@
 // in-process ListOwner shards; bpa is single-node BPA with seen-item
 // memoization (the access-count twin of the batched distributed rows). The
 // distributed engines' fingerprints match their single-node counterparts
-// field for field, so the certification diff is just a name rewrite:
+// field for field, so the certification diff is just a name rewrite (only
+// min-scorer TPUT lines differ: both engines reject non-summation scoring
+// with the same words, each naming itself in the message):
 //
-//   diff <(./build/parity_dump --algos=bpa) \
-//        <(./build/parity_dump --algos=dbpa | sed s/dBPA/BPA/)
-//   diff <(./build/parity_dump --algos=tput) \
-//        <(./build/parity_dump --algos=dtput | sed s/dTPUT/TPUT/)
-//
-// (Only min-scorer TPUT lines differ: both engines reject non-summation
-// scoring with the same words, each naming itself in the message.)
+//   ./build/parity_dump --algos=bpa > a.txt
+//   ./build/parity_dump --algos=dbpa | sed s/dBPA/BPA/ > b.txt
+//   diff a.txt b.txt
 //
 // --replicas=<R> (default 1) serves every list from R in-process owner
 // replicas with Coordinator replication to match. Fault-free replicated runs
 // never leave replica 0, so the dump is byte-identical to --replicas=1 —
-// diffing certifies the replication layer is invisible when healthy:
+// diffing certifies the replication layer is invisible when healthy.
 //
-//   diff <(./build/parity_dump --algos=dbpa,dtput) \
-//        <(./build/parity_dump --algos=dbpa,dtput --replicas=2)
+// The parity_golden_* ctests run the default grid and
+// `--algos=bpa,dbpa,tput,dtput` at --replicas=1 and 2 and compare each dump
+// byte for byte with its golden file under tests/data.
 //
 // --governor=off|<spec> arms the query governor for every dumped execution.
 // `off` (the default) keeps the historical byte-identical output. A <spec>
