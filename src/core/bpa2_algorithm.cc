@@ -14,7 +14,7 @@
 namespace topk {
 namespace {
 
-// Templated like BPA's loop (see bpa_algorithm.cc): the default
+// Templated like BPA's loop (see bpa_loop.h): the default
 // configuration devirtualizes and inlines all per-access work.
 template <typename IoT, typename TrackerT, typename ScorerT>
 Status RunBpa2Loop(const AlgorithmOptions& options, const Database& db,
@@ -214,11 +214,11 @@ Status Bpa2Algorithm::Run(const Database& db, const TopKQuery& query,
   context->PrepareTrackers(options().tracker, db.num_items(), db.num_lists());
   if (options().audit_accesses) {
     return DispatchBpa2(options(), db, query, context,
-                        EngineIo(&context->engine()), result);
+                        EngineIo(&db, &context->engine()), result);
   }
   if (context->faults().armed()) {
     return DispatchBpa2(options(), db, query, context,
-                        FaultIo(&context->faults()), result);
+                        FaultIo(&db, &context->faults()), result);
   }
   return DispatchBpa2(options(), db, query, context,
                       RawListIo(&db, &context->engine()), result);

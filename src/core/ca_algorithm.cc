@@ -50,7 +50,7 @@ Status RunCaLoop(const AlgorithmOptions& options, const Database& db,
   std::vector<Score>& last_scores = context->last_scores();
   if constexpr (IoT::kFaultAware) {
     // Sound cursor bounds even for a list dead before its first read (see
-    // nra_algorithm.cc; defensive here — CA is never the failover target).
+    // nra_loop.h; defensive here — CA is never the failover target).
     for (size_t i = 0; i < m; ++i) {
       last_scores[i] = db.list(i).MaxScore();
     }
@@ -99,7 +99,7 @@ Status RunCaLoop(const AlgorithmOptions& options, const Database& db,
           }
         }
         // Probe-cell prefetch pipelining — uncounted, decision-free; see
-        // nra_algorithm.cc.
+        // nra_loop.h.
         if (d + kPrefetchRowsAhead <= n) {
           pool.PrefetchItem(db.list(i).items()[d - 1 + kPrefetchRowsAhead]);
         }
@@ -158,7 +158,7 @@ Status RunCaLoop(const AlgorithmOptions& options, const Database& db,
     }
     // Strict against unseen items (unknown ids could win the deterministic
     // tie-break); the id-aware blocking check against seen candidates is the
-    // group walk (summation) or the fallback sweep. See nra_algorithm.cc.
+    // group walk (summation) or the fallback sweep. See nra_loop.h.
     bool can_stop = pool.KthLower() > unseen_upper;
     if constexpr (IoT::kFaultAware) {
       // A full scan only certifies when every list was read to the bottom.
@@ -276,11 +276,11 @@ Status CaAlgorithm::Run(const Database& db, const TopKQuery& query,
                         ExecutionContext* context, TopKResult* result) const {
   if (options().audit_accesses) {
     return DispatchCa(options(), db, query, context,
-                      EngineIo(&context->engine()), result);
+                      EngineIo(&db, &context->engine()), result);
   }
   if (context->faults().armed()) {
     return DispatchCa(options(), db, query, context,
-                      FaultIo(&context->faults()), result);
+                      FaultIo(&db, &context->faults()), result);
   }
   return DispatchCa(options(), db, query, context,
                     RawListIo(&db, &context->engine()), result);

@@ -98,14 +98,23 @@ inline double DeriveScoreFloor(const Database& db) {
 /// (lower + per-mask delta) falls below a decision threshold are provably
 /// also below it under the exact interleaved summation, so pruning on the
 /// margined bound never changes a decision.
-inline double SummationErrorMargin(const Database& db, double score_floor) {
+/// `max_of(i)`/`min_of(i)` are list i's extreme scores, so remote lists
+/// (known only by their catalogs) get the margin of the same arithmetic.
+template <typename MaxOf, typename MinOf>
+double SummationErrorMargin(size_t num_lists, MaxOf max_of, MinOf min_of,
+                            double score_floor) {
   double sum = std::abs(score_floor);
-  for (size_t i = 0; i < db.num_lists(); ++i) {
-    sum += std::max(std::abs(db.list(i).MaxScore()),
-                    std::abs(db.list(i).MinScore())) +
+  for (size_t i = 0; i < num_lists; ++i) {
+    sum += std::max(std::abs(max_of(i)), std::abs(min_of(i))) +
            std::abs(score_floor);
   }
   return std::ldexp(sum, -38);
+}
+
+inline double SummationErrorMargin(const Database& db, double score_floor) {
+  return SummationErrorMargin(
+      db.num_lists(), [&](size_t i) { return db.list(i).MaxScore(); },
+      [&](size_t i) { return db.list(i).MinScore(); }, score_floor);
 }
 
 /// The exact summation upper bound of a candidate: a left-to-right

@@ -80,6 +80,12 @@ class ExecutionContext {
   /// algorithms that need it.
   void Prepare(const Database& db, bool audit, size_t k);
 
+  /// Everything Prepare does except binding the access engine: resets the
+  /// top-k buffer to `k` and zero-fills the per-list score scratch for `m`
+  /// lists. The distributed coordinator prepares its context this way — its
+  /// lists are reached over a transport, not through an engine.
+  void PrepareScratch(size_t m, size_t k);
+
   /// The counted access layer, bound to the database of the last Prepare.
   AccessEngine& engine() { return engine_; }
 

@@ -207,9 +207,9 @@ Status FaAlgorithm::Run(const Database& db, const TopKQuery& query,
                         ExecutionContext* context, TopKResult* result) const {
   if (context->faults().armed()) {
     return RunFaLoop(options(), db, query, context,
-                     FaultIo(&context->faults()), result);
+                     FaultIo(&db, &context->faults()), result);
   }
-  return RunFaLoop(options(), db, query, context, EngineIo(&context->engine()),
+  return RunFaLoop(options(), db, query, context, EngineIo(&db, &context->engine()),
                    result);
 }
 

@@ -1,8 +1,11 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
-// Access policies for the algorithm run loops. Both provide the same three
-// primitives as AccessEngine and are drop-in template parameters for the
-// loops in ta/bpa/bpa2_algorithm.cc:
+// Access policies: how the algorithm run loops reach their lists. The loops
+// (core/bpa_loop.h, core/tput_loop.h, core/nra_loop.h and the TA/BPA2/FA/CA
+// loops) are templates over the policy, so every algorithm has exactly one
+// copy of its stop rule no matter where its lists live. Fagin's middleware
+// model is the contract: a list offers sorted access, random access and (for
+// BPA2) direct access, and the policy decides what one access costs.
 //
 //  * EngineIo routes every access through the AccessEngine — per-access
 //    cursors, counters and the optional audit trail. Required whenever the
@@ -15,19 +18,33 @@
 //    read-modify-write traffic through the shared engine object, which the
 //    optimizer cannot keep in registers. Only valid with audit mode off.
 //  * FaultIo routes every access through the FaultInjectingAccessEngine
-//    decorator and is the only policy whose lists can die: it reports
-//    kFaultAware = true, so the loops' aliveness guards compile in. On the
-//    other two policies those guards are `if constexpr`-eliminated —
-//    fault-free instantiations keep byte-identical behaviour and codegen
-//    shape.
+//    decorator, so its lists can die.
+//  * RemoteListIo (dist/remote_list_io.h) serves the same primitives from
+//    ListOwner shards through the distributed Coordinator's RPC layer.
+//
+// The three local policies (kLocal = true) share LocalLists: list metadata
+// read straight off the Database, plus the database itself for the loops'
+// uncounted cache prefetches. The remote policy has no database; its loops
+// compile the prefetches out (`if constexpr (IoT::kLocal)`) and instead
+// call the wire hooks that only it defines — BeginRound, PeekSorted,
+// QueueRandom/IssueRandom, LimitSortedWindows, DrainTo — which the local
+// instantiations compile out in turn.
+//
+// Policies whose lists can die report kFaultAware = true (FaultIo and
+// RemoteListIo), so the loops' aliveness guards compile in; the loops call
+// SortedAlive(i) before every sorted access and RandomAlive(j) before every
+// random one. On the other policies those guards are
+// `if constexpr`-eliminated — fault-free instantiations keep byte-identical
+// behaviour and codegen shape.
 //
 // Shared contract: stats() exposes the run's access counts so far (for the
-// governor's budget checks) and VirtualLatencyMs() the injected latency to
-// charge against its deadline (0 except under FaultIo).
+// governor's budget checks) and VirtualLatencyMs() the latency to charge
+// against its deadline (0 except under FaultIo and RemoteListIo).
 
 #ifndef TOPK_CORE_LIST_IO_H_
 #define TOPK_CORE_LIST_IO_H_
 
+#include "core/candidate_bounds.h"
 #include "lists/access_engine.h"
 #include "lists/database.h"
 #include "lists/fault_injection.h"
@@ -82,12 +99,44 @@ inline void PrefetchSortedEntry(const SortedList& list, Position position) {
   __builtin_prefetch(&list.scores()[position - 1]);
 }
 
+/// List metadata of the local policies, read straight off the database.
+/// The loops take n, m, the list maxima, the score at a seen best position
+/// and the summation error margin from their policy, never from a Database.
+class LocalLists {
+ public:
+  static constexpr bool kLocal = true;
+
+  explicit LocalLists(const Database* db) : db_(db) {}
+
+  size_t num_items() const { return db_->num_items(); }
+  size_t num_lists() const { return db_->num_lists(); }
+  Score MaxScore(size_t list_index) const {
+    return db_->list(list_index).MaxScore();
+  }
+  /// Score at `position` of a list, which the run has already seen (an
+  /// uncounted read: BPA's λ at the best positions). Position 0 — nothing
+  /// seen yet — is bounded by the list maximum.
+  Score ScoreAtSeen(size_t list_index, Position position) const {
+    const SortedList& list = db_->list(list_index);
+    return position == 0 ? list.MaxScore() : list.ScoreAtPosition(position);
+  }
+  double SummationMargin(double score_floor) const {
+    return SummationErrorMargin(*db_, score_floor);
+  }
+  /// The lists themselves, for the loops' uncounted cache prefetches.
+  const Database& db() const { return *db_; }
+
+ protected:
+  const Database* db_;
+};
+
 /// Faithful policy: every access goes through the counted engine.
-class EngineIo {
+class EngineIo : public LocalLists {
  public:
   static constexpr bool kFaultAware = false;
 
-  explicit EngineIo(AccessEngine* engine) : engine_(engine) {}
+  EngineIo(const Database* db, AccessEngine* engine)
+      : LocalLists(db), engine_(engine) {}
 
   AccessedEntry Sorted(size_t list_index, Position /*position*/) {
     return engine_->SortedAccess(list_index);
@@ -113,12 +162,12 @@ class EngineIo {
 /// Fast policy: direct list reads, registers-only counting, one flush.
 /// The caller passes the sorted position explicitly (the loops know their
 /// depth), so no cursor state is maintained; the engine's cursors stay at 0.
-class RawListIo {
+class RawListIo : public LocalLists {
  public:
   static constexpr bool kFaultAware = false;
 
   RawListIo(const Database* db, AccessEngine* engine)
-      : db_(db), engine_(engine) {}
+      : LocalLists(db), engine_(engine) {}
 
   AccessedEntry Sorted(size_t list_index, Position position) {
     ++stats_.sorted_accesses;
@@ -146,7 +195,6 @@ class RawListIo {
   static constexpr double VirtualLatencyMs() { return 0.0; }
 
  private:
-  const Database* db_;
   AccessEngine* engine_;
   AccessStats stats_;
 };
@@ -155,11 +203,12 @@ class RawListIo {
 /// from there through the counted engine, so counts and cursors stay
 /// faithful). The loops must check SortedAlive/RandomAlive before every
 /// access — see the death contract in lists/fault_injection.h.
-class FaultIo {
+class FaultIo : public LocalLists {
  public:
   static constexpr bool kFaultAware = true;
 
-  explicit FaultIo(FaultInjectingAccessEngine* faults) : faults_(faults) {}
+  FaultIo(const Database* db, FaultInjectingAccessEngine* faults)
+      : LocalLists(db), faults_(faults) {}
 
   AccessedEntry Sorted(size_t list_index, Position /*position*/) {
     return faults_->SortedAccess(list_index);

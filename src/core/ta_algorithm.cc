@@ -160,11 +160,11 @@ Status TaAlgorithm::Run(const Database& db, const TopKQuery& query,
                         ExecutionContext* context, TopKResult* result) const {
   if (options().audit_accesses) {
     return DispatchTa(options(), db, query, context,
-                      EngineIo(&context->engine()), result);
+                      EngineIo(&db, &context->engine()), result);
   }
   if (context->faults().armed()) {
     return DispatchTa(options(), db, query, context,
-                      FaultIo(&context->faults()), result);
+                      FaultIo(&db, &context->faults()), result);
   }
   return DispatchTa(options(), db, query, context,
                     RawListIo(&db, &context->engine()), result);

@@ -58,7 +58,7 @@ struct AlgorithmOptions {
   /// at O(live candidates) instead of O(every item seen). Behaviorally a
   /// no-op — results, stop positions and access counts are unchanged (a
   /// re-seen erased candidate re-enters with strictly less knowledge and a
-  /// provably sub-threshold bound, see nra_algorithm.cc) — so the default is
+  /// provably sub-threshold bound, see nra_loop.h) — so the default is
   /// on; the off switch exists for the differential tests that certify the
   /// no-op and for memory-vs-walk-cost ablations. CA always erases (its
   /// victim selection observably depends on the erased set); TPUT's single
@@ -71,7 +71,7 @@ struct AlgorithmOptions {
   /// resets the watermark to 1.25x the surviving live size, an unproductive
   /// one backs it off 2x (4x from the second unproductive pass in a row), so
   /// total compaction work stays O(pool growth) — see the schedule comment
-  /// in nra_algorithm.cc. Tests set 1 to compact at every stop check.
+  /// in nra_loop.h. Tests set 1 to compact at every stop check.
   size_t nra_compaction_floor = 4096;
 
   /// Per-query governance limits (deadline, access budgets, pool byte

@@ -5,29 +5,25 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "common/macros.h"
-#include "core/candidate_bounds.h"
+#include "common/rng.h"
+#include "core/bpa_loop.h"
+#include "core/candidate_pool.h"
+#include "core/nra_loop.h"
+#include "core/tput_loop.h"
 
 namespace topk {
 namespace {
 
-// splitmix64 finalizer (same discipline as the fault schedules): the backoff
-// jitter is a pure hash of (backoff_seed, retry counter), so a faulted run's
-// virtual timeline replays exactly from its seeds.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 constexpr uint64_t kBackoffSalt = 0xc6a4a7935bd1e995ull;
 
+// The backoff and breaker jitter is a pure splitmix64 hash of (seed, draw
+// counter), so a faulted run's virtual timeline replays exactly from its
+// seeds.
 double JitterDraw(uint64_t seed, uint64_t counter) {
-  const uint64_t h = Mix(seed ^ Mix(counter + kBackoffSalt));
+  const uint64_t h = Mix64(seed ^ Mix64(counter + kBackoffSalt));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
@@ -237,40 +233,6 @@ Status Coordinator::ValidateQuery(const char* algorithm,
                            query.k);
   }
   return Status::OK();
-}
-
-void Coordinator::BeginQuery() {
-  const size_t m = replicas_of_.size();
-  const size_t owners = transport_->num_owners();
-  stats_ = DistStats{};
-  access_ = AccessStats{};
-  backoff_counter_ = 0;
-  governor_.Arm(options_.governor);
-  // Owners start every query alive: a query's death discoveries are its own
-  // (the transport's schedule decides what actually answers), mirroring the
-  // per-query Arm() of the access-level fault decorator.
-  owner_alive_.assign(owners, 1);
-  latency_ring_.assign(owners * kLatencyRing, 0.0);
-  latency_count_.assign(owners, 0);
-  // Health starts every query fresh too: breakers closed, EWMA unseen,
-  // every list routed to its lowest-indexed replica.
-  health_.assign(owners, ReplicaHealth{});
-  health_counter_ = 0;
-  group_lost_counted_.assign(m, 0);
-  for (size_t i = 0; i < m; ++i) {
-    primary_of_[i] = replicas_of_[i][0];
-  }
-  window_base_.assign(m, 0);
-  window_.resize(m);
-  last_scores_.assign(m, 0.0);
-  local_.assign(m, 0.0);
-  capped_.assign(m, 0.0);
-  tmp_.assign(m, 0.0);
-}
-
-void Coordinator::FinishQuery(TopKResult* result) const {
-  result->stats = access_;
-  result->fault_retries = stats_.retries;
 }
 
 // --- RPC machinery ---
@@ -606,206 +568,14 @@ Status Coordinator::ListRpc(size_t list, const Request& request, Reply* reply) {
   return last;
 }
 
-// --- sorted-access windows ---
-
-Status Coordinator::WindowEntry(size_t list_index, Position position,
-                                ListEntry* entry) {
-  std::vector<ListEntry>& window = window_[list_index];
-  const Position base = window_base_[list_index];
-  if (base == 0 || position < base || position >= base + window.size()) {
-    request_.type = MessageType::kSortedWindow;
-    request_.list_index = static_cast<uint32_t>(list_index);
-    request_.start = position;
-    request_.max_entries = static_cast<uint32_t>(std::min<uint64_t>(
-        options_.window_rows, n_ - (position - 1)));
-    request_.items.clear();
-    TOPK_RETURN_NOT_OK(ListRpc(list_index, request_, &reply_));
-    window.assign(reply_.entries.begin(), reply_.entries.end());
-    window_base_[list_index] = position;
-  }
-  *entry = window[position - window_base_[list_index]];
-  return Status::OK();
-}
-
-// --- distributed BPA ---
+// --- query execution ---
 
 Result<TopKResult> Coordinator::ExecuteBpa(const TopKQuery& query) {
   TOPK_RETURN_NOT_OK(
       options_.Validate("DistBPA", transport_->num_owners()));
   TOPK_RETURN_NOT_OK(ValidateQuery("DistBPA", query));
-  const auto start = std::chrono::steady_clock::now();
-  BeginQuery();
-
-  TopKResult result;
-  const size_t m = num_lists();
-  const size_t n = n_;
-  const Scorer& scorer = *query.scorer;
-
-  buffer_.Reset(query.k);
-  pos_seen_.resize(m);
-  pos_score_.resize(m);
-  for (size_t i = 0; i < m; ++i) {
-    pos_seen_[i].assign(n + 1, 0);
-    pos_score_[i].assign(n + 1, 0.0);
-  }
-  best_pos_.assign(m, 0);
-  memo_state_.assign(n, 0);
-  memo_score_.assign(n, 0.0);
-  batch_items_.resize(m);
-  batch_pending_.resize(m);
-
-  // λ cache, as in the single-node loop: best positions only grow, so their
-  // sum is an exact change signature.
-  uint64_t bp_signature = ~uint64_t{0};
-  Score lambda = std::numeric_limits<Score>::infinity();
-  Completion reason = Completion::kExact;
-  Position depth = 0;
-  bool stopped = false;
-  Status io_status;  // first owner-death error; triggers the degraded path
-
-  while (!stopped && depth < n) {
-    ++depth;
-    ++stats_.rounds;
-    pending_.clear();
-    for (size_t j = 0; j < m; ++j) {
-      batch_items_[j].clear();
-      batch_pending_[j].clear();
-    }
-    // The row's m sorted accesses, each served from its list's window buffer
-    // (one kSortedWindow message per window_rows rows per list).
-    for (size_t i = 0; i < m && io_status.ok(); ++i) {
-      ListEntry entry;
-      io_status = WindowEntry(i, depth, &entry);
-      if (!io_status.ok()) {
-        break;
-      }
-      ++access_.sorted_accesses;
-      pos_seen_[i][depth] = 1;
-      pos_score_[i][depth] = entry.score;
-      if (memo_state_[entry.item] == 2) {
-        // Already resolved in an earlier row: only the buffer offer remains
-        // (its positions were marked when it was resolved).
-        buffer_.Offer(entry.item, memo_score_[entry.item]);
-        continue;
-      }
-      if (memo_state_[entry.item] == 1) {
-        continue;  // first seen earlier in this same row; resolution pending
-      }
-      memo_state_[entry.item] = 1;
-      const uint32_t p = static_cast<uint32_t>(pending_.size());
-      pending_.push_back(
-          PendingItem{entry.item, static_cast<uint32_t>(i), entry.score});
-      for (size_t j = 0; j < m; ++j) {
-        if (j != i) {
-          batch_items_[j].push_back(entry.item);
-          batch_pending_[j].push_back(p);
-        }
-      }
-    }
-    if (!io_status.ok()) {
-      break;
-    }
-    // Row-end batched resolution: one kRandomLookup message per list covers
-    // every item first seen this row. Deferring the lookups from first-sight
-    // to row end is invisible to the algorithm — λ and the best positions
-    // are only read at the row boundary, and the buffer's content is a
-    // function of the offered (item, score) set, not of offer order — so
-    // the batched run's stop depth and answers are byte-identical to the
-    // single-node per-item resolution.
-    pending_rows_.assign(pending_.size() * m, 0.0);
-    for (size_t j = 0; j < m && io_status.ok(); ++j) {
-      if (batch_items_[j].empty()) {
-        continue;
-      }
-      request_.type = MessageType::kRandomLookup;
-      request_.list_index = static_cast<uint32_t>(j);
-      request_.items = batch_items_[j];
-      io_status = ListRpc(j, request_, &reply_);
-      if (!io_status.ok()) {
-        break;
-      }
-      access_.random_accesses += reply_.lookups.size();
-      for (size_t idx = 0; idx < reply_.lookups.size(); ++idx) {
-        const ItemLookup lookup = reply_.lookups[idx];
-        pos_seen_[j][lookup.position] = 1;
-        pos_score_[j][lookup.position] = lookup.score;
-        pending_rows_[static_cast<size_t>(batch_pending_[j][idx]) * m + j] =
-            lookup.score;
-      }
-    }
-    if (!io_status.ok()) {
-      break;
-    }
-    for (size_t p = 0; p < pending_.size(); ++p) {
-      const PendingItem& pending = pending_[p];
-      // Accumulation order j = 0..m-1 with the sorted entry's score at its
-      // first-seen list — the exact arithmetic of the single-node loop.
-      for (size_t j = 0; j < m; ++j) {
-        local_[j] = j == pending.first_list ? pending.first_score
-                                            : pending_rows_[p * m + j];
-      }
-      const Score overall = scorer.Combine(local_.data(), m);
-      memo_state_[pending.item] = 2;
-      memo_score_[pending.item] = overall;
-      buffer_.Offer(pending.item, overall);
-    }
-    // Row end: advance best positions (largest prefix of seen positions) and
-    // recompute λ only when some best position moved.
-    uint64_t signature = 0;
-    for (size_t i = 0; i < m; ++i) {
-      Position bp = best_pos_[i];
-      while (bp + 1 <= n && pos_seen_[i][bp + 1]) {
-        ++bp;
-      }
-      best_pos_[i] = bp;
-      signature += bp;
-    }
-    if (signature != bp_signature) {
-      bp_signature = signature;
-      for (size_t i = 0; i < m; ++i) {
-        local_[i] = pos_score_[i][best_pos_[i]];
-      }
-      lambda = scorer.Combine(local_.data(), m);
-    }
-    if (buffer_.HasKAbove(lambda)) {
-      stopped = true;
-    }
-    if (!stopped &&
-        (reason = governor_.Charge(access_, 0, stats_.virtual_ms)) !=
-            Completion::kExact) {
-      break;
-    }
-  }
-
-  if (!io_status.ok()) {
-    if (!io_status.IsUnavailable()) {
-      return io_status;  // a protocol bug, not a fault — surface it
-    }
-    TOPK_RETURN_NOT_OK(DegradeToNra(query, &result));
-    FinishQuery(&result);
-    result.elapsed_ms = NowMs(start);
-    return result;
-  }
-
-  buffer_.AppendSortedItems(&result.items);
-  result.stop_position = depth;
-  Position min_bp = static_cast<Position>(n);
-  for (size_t i = 0; i < m; ++i) {
-    min_bp = std::min(min_bp, best_pos_[i]);
-  }
-  result.min_best_position = min_bp;
-  if (reason != Completion::kExact) {
-    const Score kth = result.items.empty()
-                          ? -std::numeric_limits<Score>::infinity()
-                          : result.items.back().score;
-    CertifyAnytime(reason, kth, lambda, &result);
-  }
-  FinishQuery(&result);
-  result.elapsed_ms = NowMs(start);
-  return result;
+  return Execute(query, /*bpa=*/true);
 }
-
-// --- distributed TPUT ---
 
 Result<TopKResult> Coordinator::ExecuteTput(const TopKQuery& query) {
   TOPK_RETURN_NOT_OK(
@@ -823,367 +593,72 @@ Result<TopKResult> Coordinator::ExecuteTput(const TopKQuery& query) {
         "single 64-bit word, capping queries at ",
         CandidatePool::kMaxLists, " lists; got ", num_lists());
   }
-  const auto start = std::chrono::steady_clock::now();
-  BeginQuery();
-
-  TopKResult result;
-  const size_t m = num_lists();
-  const size_t n = n_;
-  pool_.Reset(m, query.k, floor_, /*eager_groups=*/false);
-  buffer_.Reset(query.k);
-  for (size_t i = 0; i < m; ++i) {
-    last_scores_[i] = max_score_[i];
-  }
-  Position depth = std::min<Position>(static_cast<Position>(query.k),
-                                      static_cast<Position>(n));
-
-  // Identical to the single-node record(): the first sighting publishes the
-  // full-row sum (floor cells included, index order) as the lower bound.
-  const auto record = [&](size_t list_index, ItemId item, Score score) {
-    const uint32_t slot = pool_.FindOrInsert(item);
-    if (pool_.SetSeen(slot, list_index, score)) {
-      Score sum = 0.0;
-      const Score* row = pool_.row(slot);
-      for (size_t j = 0; j < m; ++j) {
-        sum += row[j];
-      }
-      pool_.OfferLower(slot, sum);
-    }
-  };
-  const auto anytime = [&](Completion why) {
-    winners_.clear();
-    pool_.AppendHeapItems(&winners_);
-    Score kth = std::numeric_limits<Score>::infinity();
-    result.items.reserve(winners_.size());
-    for (ItemId item : winners_) {
-      const Score lower = pool_.lower(pool_.FindSlot(item));
-      kth = std::min(kth, lower);
-      result.items.push_back(ResultItem{item, lower});
-    }
-    if (result.items.empty()) {
-      kth = -std::numeric_limits<Score>::infinity();
-    }
-    Score upper = 0.0;
-    for (size_t i = 0; i < m; ++i) {
-      upper += last_scores_[i];
-    }
-    for (uint32_t slot = 0; slot < pool_.size(); ++slot) {
-      if (!pool_.InHeap(slot)) {
-        upper = std::max(upper, SumUpperBound(pool_, slot, last_scores_));
-      }
-    }
-    CertifyAnytime(why, kth, upper, &result);
-    result.stop_position = depth;
-  };
-
-  Completion reason = Completion::kExact;
-  Status io_status;
-
-  // ---- Phase 1: top-k prefix of every list, window-batched. ----
-  ++stats_.rounds;
-  for (size_t i = 0; i < m && io_status.ok(); ++i) {
-    Position p = 1;
-    while (p <= depth) {
-      request_.type = MessageType::kSortedWindow;
-      request_.list_index = static_cast<uint32_t>(i);
-      request_.start = p;
-      request_.max_entries = static_cast<uint32_t>(std::min<uint64_t>(
-          options_.window_rows, depth - p + 1));
-      request_.items.clear();
-      io_status = ListRpc(i, request_, &reply_);
-      if (!io_status.ok()) {
-        break;
-      }
-      for (const ListEntry& entry : reply_.entries) {
-        ++access_.sorted_accesses;
-        last_scores_[i] = entry.score;
-        record(i, entry.item, entry.score);
-      }
-      p += static_cast<Position>(reply_.entries.size());
-      if ((reason = governor_.Charge(access_, pool_.LiveCandidateBytes(),
-                                     stats_.virtual_ms)) !=
-          Completion::kExact) {
-        anytime(reason);
-        FinishQuery(&result);
-        result.elapsed_ms = NowMs(start);
-        return result;
-      }
-    }
-  }
-  Score threshold = 0.0;
-  if (io_status.ok()) {
-    // Phase 1 saw >= k distinct items (k rows of one list are distinct), so
-    // the heap is full and its weakest entry is τ1.
-    const Score tau1 = pool_.KthLower();
-
-    // ---- Phase 2: drain every list down to local score >= τ1/m. The
-    // threshold stop runs owner-side (kDrain), so a drain costs one message
-    // per window_rows rows instead of one per row. ----
-    ++stats_.rounds;
-    threshold = tau1 / static_cast<Score>(m);
-    list_depths_.assign(m, depth);
-    // last_scores_[i] already holds the phase-1 cursor score (the entry at
-    // the shared phase-1 depth), exactly the single-node re-seed.
-    for (size_t i = 0; i < m && io_status.ok(); ++i) {
-      while (list_depths_[i] < n && last_scores_[i] >= threshold) {
-        const Position drain_start = list_depths_[i] + 1;
-        request_.type = MessageType::kDrain;
-        request_.list_index = static_cast<uint32_t>(i);
-        request_.start = drain_start;
-        request_.max_entries = static_cast<uint32_t>(std::min<uint64_t>(
-            options_.window_rows, n - list_depths_[i]));
-        request_.threshold = threshold;
-        request_.items.clear();
-        io_status = ListRpc(i, request_, &reply_);
-        if (!io_status.ok()) {
-          break;
-        }
-        for (size_t off = 0; off < reply_.entries.size(); ++off) {
-          const ListEntry& entry = reply_.entries[off];
-          ++list_depths_[i];
-          ++access_.sorted_accesses;
-          record(i, entry.item, entry.score);
-          last_scores_[i] = entry.score;
-          depth = std::max(depth,
-                           static_cast<Position>(drain_start + off));
-        }
-        if ((reason = governor_.Charge(access_, pool_.LiveCandidateBytes(),
-                                       stats_.virtual_ms)) !=
-            Completion::kExact) {
-          anytime(reason);
-          FinishQuery(&result);
-          result.elapsed_ms = NowMs(start);
-          return result;
-        }
-      }
-    }
-  }
-  if (io_status.ok()) {
-    const Score tau2 = pool_.KthLower();
-
-    // ---- Phase 3: resolve the τ2 survivors exactly, lookups batched per
-    // list. Upper bound: unknown lists contribute min(last seen score,
-    // threshold ceiling) — after phase 2 any unseen score in list i is
-    // < max(last_scores[i], threshold). The survivor set comes from the
-    // plain exact sweep over every slot: identical to the single-node
-    // heap-scan plus margined group walk, whose margin only skips members
-    // that provably fail the same exact SumUpperBound test. ----
-    ++stats_.rounds;
-    for (size_t i = 0; i < m; ++i) {
-      capped_[i] = std::min(last_scores_[i], threshold);
-    }
-    survivors_.clear();
-    for (uint32_t slot = 0; slot < pool_.size(); ++slot) {
-      if (SumUpperBound(pool_, slot, capped_) >= tau2) {
-        survivors_.push_back(slot);
-      }
-    }
-    batch_items_.resize(m);
-    batch_pending_.resize(m);
-    for (size_t j = 0; j < m; ++j) {
-      batch_items_[j].clear();
-      batch_pending_[j].clear();
-    }
-    for (uint32_t s = 0; s < survivors_.size(); ++s) {
-      const uint32_t slot = survivors_[s];
-      const uint64_t mask = pool_.mask(slot);
-      for (size_t j = 0; j < m; ++j) {
-        if (!(mask >> j & 1)) {
-          batch_items_[j].push_back(pool_.item_at(slot));
-          batch_pending_[j].push_back(s);
-        }
-      }
-    }
-    pending_rows_.assign(survivors_.size() * m, 0.0);
-    for (size_t j = 0; j < m && io_status.ok(); ++j) {
-      if (batch_items_[j].empty()) {
-        continue;
-      }
-      request_.type = MessageType::kRandomLookup;
-      request_.list_index = static_cast<uint32_t>(j);
-      request_.items = batch_items_[j];
-      io_status = ListRpc(j, request_, &reply_);
-      if (!io_status.ok()) {
-        break;
-      }
-      access_.random_accesses += reply_.lookups.size();
-      for (size_t idx = 0; idx < reply_.lookups.size(); ++idx) {
-        pending_rows_[static_cast<size_t>(batch_pending_[j][idx]) * m + j] =
-            reply_.lookups[idx].score;
-      }
-      if ((reason = governor_.Charge(access_, pool_.LiveCandidateBytes(),
-                                     stats_.virtual_ms)) !=
-          Completion::kExact) {
-        anytime(reason);
-        FinishQuery(&result);
-        result.elapsed_ms = NowMs(start);
-        return result;
-      }
-    }
-    if (io_status.ok()) {
-      for (uint32_t s = 0; s < survivors_.size(); ++s) {
-        const uint32_t slot = survivors_[s];
-        const Score* row = pool_.row(slot);
-        const uint64_t mask = pool_.mask(slot);
-        // Index-order interleaved sum, exactly the single-node resolution
-        // arithmetic (known cells from the row, the rest from lookups).
-        Score sum = 0.0;
-        for (size_t j = 0; j < m; ++j) {
-          sum += (mask >> j & 1) ? row[j] : pending_rows_[s * m + j];
-        }
-        buffer_.Offer(pool_.item_at(slot), sum);
-      }
-    }
-  }
-
-  if (!io_status.ok()) {
-    if (!io_status.IsUnavailable()) {
-      return io_status;  // a protocol bug, not a fault — surface it
-    }
-    TOPK_RETURN_NOT_OK(DegradeToNra(query, &result));
-    FinishQuery(&result);
-    result.elapsed_ms = NowMs(start);
-    return result;
-  }
-
-  buffer_.AppendSortedItems(&result.items);
-  result.stop_position = depth;
-  FinishQuery(&result);
-  result.elapsed_ms = NowMs(start);
-  return result;
+  return Execute(query, /*bpa=*/false);
 }
 
-// --- shared degraded path ---
-
-Status Coordinator::DegradeToNra(const TopKQuery& query, TopKResult* result) {
+Result<TopKResult> Coordinator::Execute(const TopKQuery& query, bool bpa) {
+  const auto start = std::chrono::steady_clock::now();
   const size_t m = num_lists();
-  const size_t n = n_;
-  const Scorer& scorer = *query.scorer;
-  result->items.clear();
-
-  if (m > CandidatePool::kMaxLists) {
-    // No pool-based fallback exists beyond the mask width; surface the
-    // original failure semantics instead.
-    return Status::Unavailable(
-        "Coordinator: degraded NRA needs candidate-pool bookkeeping, which "
-        "caps queries at ",
-        CandidatePool::kMaxLists, " lists; got ", m);
-  }
-
-  // Restart from scratch over the survivors (the same re-run discipline as
-  // the single-node engine's failover). Dead lists are bounded at their
-  // *advertised maximum*: the fresh pool has forgotten everything the failed
-  // run learned, so a tighter (cursor-score) bound would be unsound — any
-  // unseen item could hide anywhere in a dead list. A list that dies during
-  // this loop freezes at its current cursor score instead, which is sound
-  // in place: this pool has consumed that prefix, so unseen items of that
-  // list really are bounded by the cursor.
-  pool_.Reset(m, query.k, floor_, /*eager_groups=*/false);
-  list_depths_.assign(m, 0);
+  const size_t owners = transport_->num_owners();
+  stats_ = DistStats{};
+  backoff_counter_ = 0;
+  // Owners start every query alive: a query's death discoveries are its own
+  // (the transport's schedule decides what actually answers), mirroring the
+  // per-query Arm() of the access-level fault decorator.
+  owner_alive_.assign(owners, 1);
+  latency_ring_.assign(owners * kLatencyRing, 0.0);
+  latency_count_.assign(owners, 0);
+  // Health starts every query fresh too: breakers closed, EWMA unseen,
+  // every list routed to its lowest-indexed replica.
+  health_.assign(owners, ReplicaHealth{});
+  health_counter_ = 0;
+  group_lost_counted_.assign(m, 0);
   for (size_t i = 0; i < m; ++i) {
-    last_scores_[i] = max_score_[i];
+    primary_of_[i] = replicas_of_[i][0];
   }
-  tmp_.assign(m, 0.0);
-  Completion reason = Completion::kListFailure;
+  context_.PrepareScratch(m, query.k);
+  context_.governor().Arm(options_.governor);
+  remote_.Reset(m, n_, /*record_seen_scores=*/bpa);
+  RemoteListIo io(this, &remote_);
 
-  bool done = false;
-  while (!done) {
-    ++stats_.rounds;
-    for (size_t i = 0; i < m && !done; ++i) {
-      if (!ListAlive(i) || list_depths_[i] >= n) {
-        continue;
-      }
-      request_.type = MessageType::kSortedWindow;
-      request_.list_index = static_cast<uint32_t>(i);
-      request_.start = list_depths_[i] + 1;
-      request_.max_entries = static_cast<uint32_t>(
-          std::min<uint64_t>(options_.window_rows, n - list_depths_[i]));
-      request_.items.clear();
-      Status status = ListRpc(i, request_, &reply_);
-      if (!status.ok()) {
-        if (!status.IsUnavailable()) {
-          return status;
-        }
-        // The whole replica group died; the list freezes at its cursor and
-        // the scan continues over the survivors.
-        continue;
-      }
-      for (const ListEntry& entry : reply_.entries) {
-        ++list_depths_[i];
-        ++access_.sorted_accesses;
-        const uint32_t slot = pool_.FindOrInsert(entry.item);
-        if (pool_.SetSeen(slot, i, entry.score)) {
-          pool_.OfferLower(slot, scorer.Combine(pool_.row(slot), m));
-        }
-        last_scores_[i] = entry.score;
-      }
-      const Completion tripped =
-          governor_.Charge(access_, pool_.LiveCandidateBytes(),
-                           stats_.virtual_ms);
-      if (tripped != Completion::kExact) {
-        reason = tripped;  // the governor's trip outranks the failure tag
-        done = true;
-      }
-    }
-    if (done) {
-      break;
-    }
-    bool exhausted = true;
-    for (size_t i = 0; i < m; ++i) {
-      if (ListAlive(i) && list_depths_[i] < n) {
-        exhausted = false;
-        break;
-      }
-    }
-    if (exhausted) {
-      break;
-    }
-    // NRA stop rule over what is still scannable: heap full, no pool
-    // candidate blocks, and no never-seen item can beat the k-th lower
-    // bound. With a dead list pinned at its advertised max this rarely
-    // fires — the loop then drains the survivors and exits exhausted, and
-    // the certification below reports exactly how tight the answer is.
-    if (pool_.HeapFull() &&
-        !PruneAndFindBlocker(pool_, scorer, last_scores_, tmp_) &&
-        pool_.KthLower() >= scorer.Combine(last_scores_.data(), m)) {
-      break;
-    }
+  // dBPA resolves each item once (memoization is implied by the remote
+  // policy) and tracks best positions in bit arrays.
+  AlgorithmOptions options;
+  options.tracker = TrackerKind::kBitArray;
+  options.score_floor = floor_;
+  TopKResult result;
+  Status status;
+  if (bpa) {
+    context_.PrepareTrackers(options.tracker, n_, m);
+    status = DispatchBpa(options, query, &context_, io, &result);
+  } else {
+    status = RunTputLoop(options, query, &context_, io, &result);
   }
-
-  winners_.clear();
-  pool_.AppendHeapItems(&winners_);
-  Score kth = std::numeric_limits<Score>::infinity();
-  result->items.reserve(winners_.size());
-  for (ItemId item : winners_) {
-    const Score lower = pool_.lower(pool_.FindSlot(item));
-    kth = std::min(kth, lower);
-    result->items.push_back(ResultItem{item, lower});
-  }
-  if (result->items.empty()) {
-    kth = -std::numeric_limits<Score>::infinity();
-  }
-  Score upper = scorer.Combine(last_scores_.data(), m);
-  for (uint32_t slot = 0; slot < pool_.size(); ++slot) {
-    if (!pool_.InHeap(slot)) {
-      upper = std::max(upper,
-                       PoolUpperBound(pool_, slot, scorer, last_scores_, tmp_));
+  if (status.IsUnavailable() && remote_.error.ok()) {
+    // A whole replica group died. Fail over to NRA on the same policy, the
+    // single-node failover discipline: dead lists stay dead (bounded at
+    // their advertised maximum), survivors re-scan from position 1, spent
+    // accesses and virtual time carry over and the governor keeps running
+    // down the same deadline.
+    if (m > CandidatePool::kMaxLists) {
+      return Status::Unavailable(
+          "Coordinator: degraded NRA needs candidate-pool bookkeeping, which "
+          "caps queries at ",
+          CandidatePool::kMaxLists, " lists; got ", m);
     }
+    remote_.RestartScans();
+    result.Clear();
+    status = DispatchNra(options, query, &context_, io, &result);
+    result.failed_over = true;
   }
-  CertifyAnytime(reason, kth, upper, result);
-  result->failed_over = true;
-  uint32_t dead = 0;
-  for (size_t i = 0; i < m; ++i) {
-    if (!ListAlive(i)) {
-      ++dead;
-    }
-  }
-  result->dead_lists = dead;
-  Position stop = 0;
-  for (size_t i = 0; i < m; ++i) {
-    stop = std::max(stop, list_depths_[i]);
-  }
-  result->stop_position = stop;
-  return Status::OK();
+  // A non-Unavailable RPC failure is a protocol bug, not a fault.
+  TOPK_RETURN_NOT_OK(remote_.error);
+  TOPK_RETURN_NOT_OK(status);
+  result.stats = io.stats();
+  result.fault_retries = stats_.retries;
+  result.dead_lists = io.DeadLists();
+  result.elapsed_ms = NowMs(start);
+  return result;
 }
 
 }  // namespace topk

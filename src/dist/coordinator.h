@@ -1,17 +1,17 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
-// Coordinator: the paper's query node in the distributed setting. It runs the
-// BPA and TPUT phase structures over a pluggable message Transport to
-// ListOwner shards, batching sorted accesses into windows and random accesses
-// into per-list lookup vectors so the wire carries few large messages instead
-// of the single-node loops' many small accesses — the metric the distributed
-// top-k literature optimizes (messages and bytes per query).
+// Coordinator: the paper's query node in the distributed setting. It runs
+// the library's own BPA and TPUT loops (core/bpa_loop.h, core/tput_loop.h)
+// over RemoteListIo (dist/remote_list_io.h), the access policy that reaches
+// the lists through a pluggable message Transport to ListOwner shards. There
+// is one copy of each algorithm: the coordinator itself holds no stop rule,
+// only what the wire needs —
 //
-// Robustness is the contract, not an afterthought:
-//
-//  * every RPC runs under a per-call deadline with a bounded retry budget and
-//    deterministic jittered exponential backoff (all charged as virtual
-//    milliseconds against the query governor's deadline);
+//  * the catalog handshake (Connect) and list → replica routing;
+//  * the robust RPC (ListRpc): every exchange runs under a per-call deadline
+//    with a bounded retry budget and deterministic jittered exponential
+//    backoff (all charged as virtual milliseconds against the query
+//    governor's deadline);
 //  * straggler hedging: when an exchange outlasts a p99-derived per-owner
 //    hedge timeout, the request is re-issued and the earlier reply wins
 //    (duplicates are deduped and their bytes counted, as an at-least-once
@@ -25,19 +25,27 @@
 //    exhausted) and re-route to a survivor, resuming the sorted cursor at
 //    the exact window position. Owners are stateless and windows are
 //    deterministic functions of the immutable list, so a mid-query replica
-//    switch is invisible to the algorithm: items, scores, stop positions
-//    and access counts stay byte-identical to the unreplicated run;
-//  * only when a WHOLE replica group is dead does a list die: it maps onto
-//    PR 6's dead-list semantics and the coordinator degrades to NRA over
-//    the surviving lists, returning a θ-certified anytime answer tagged
-//    Completion::kListFailure — a dying cluster still answers inside the
-//    SLA.
+//    switch is invisible to the algorithm;
+//  * the wire and robustness counters (DistStats).
+//
+// RemoteListIo batches the loops' accesses so the wire carries few large
+// messages — sorted access in windows of window_rows rows (kDrain with an
+// owner-side threshold stop in TPUT phase 2), random access in one lookup
+// vector per list per BPA row or TPUT phase 3 — the metric the distributed
+// top-k literature optimizes (messages and bytes per query).
+//
+// Only when a WHOLE replica group is dead does a list die. The BPA or TPUT
+// loop then returns Unavailable, and the coordinator runs the NRA loop on
+// the same policy — the single-node failover discipline: dead lists stay
+// dead, spent accesses and virtual time carry over, survivors re-scan from
+// position 1 — returning a θ-certified anytime answer tagged
+// Completion::kListFailure. A dying cluster still answers inside the SLA.
 //
 // Determinism: fault-free distributed BPA/TPUT return byte-identical
-// items/scores to the single-node engine (same tie order, same survivor
-// sets — the batched windows and lookup vectors replay the single-node
-// loops' arithmetic exactly), and a faulted run replays message-for-message
-// from the transport fault plan's seed plus DistOptions::backoff_seed.
+// items/scores/stop depths/access counts to the single-node engine (the
+// same loops; dBPA is memoized BPA's twin), and a faulted run replays
+// message-for-message from the transport fault plan's seed plus
+// DistOptions::backoff_seed.
 
 #ifndef TOPK_DIST_COORDINATOR_H_
 #define TOPK_DIST_COORDINATOR_H_
@@ -48,12 +56,11 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "core/candidate_pool.h"
+#include "core/execution_context.h"
 #include "core/query_governor.h"
-#include "core/topk_buffer.h"
 #include "core/topk_result.h"
+#include "dist/remote_list_io.h"
 #include "dist/transport.h"
-#include "lists/access_stats.h"
 #include "lists/scorer.h"
 #include "lists/types.h"
 
@@ -109,10 +116,10 @@ struct DistOptions {
   /// Seed of the health tracker's jittered breaker windows.
   uint64_t health_seed = 1;
 
-  /// Per-query execution limits, enforced at the coordinator's round
-  /// boundaries exactly like the single-node loops enforce them. RPC
-  /// latencies, backoff waits and timeout waits all charge the deadline as
-  /// virtual milliseconds.
+  /// Per-query execution limits, enforced by the algorithm loops at their
+  /// round boundaries exactly as on a single node. RPC latencies, backoff
+  /// waits and timeout waits all charge the deadline as virtual
+  /// milliseconds.
   GovernorLimits governor;
 
   /// Validates the options for `algorithm` over a transport with
@@ -127,7 +134,7 @@ struct DistStats {
   uint64_t replies_received = 0;  ///< incl. duplicate deliveries
   uint64_t bytes_sent = 0;
   uint64_t bytes_received = 0;  ///< incl. duplicate deliveries
-  uint64_t rounds = 0;          ///< coordinator round-trips of the phase loops
+  uint64_t rounds = 0;          ///< dBPA rows, dTPUT phases, NRA rounds
   uint64_t retries = 0;         ///< re-attempts after a lost/failed exchange
   uint64_t hedges = 0;          ///< hedge requests issued
   uint64_t hedge_wins = 0;      ///< hedges whose reply beat the primary's
@@ -163,17 +170,19 @@ class Coordinator {
   /// the owners' catalogs: 0 lowered to the smallest advertised min score).
   Score score_floor() const { return floor_; }
 
-  /// Distributed BPA: per-depth rows over batched sorted windows, row-end
-  /// batched random-access resolution, the paper's λ (best-position) stop
-  /// rule. Any scorer. Fault-free results are byte-identical to single-node
-  /// BPA; owner death degrades to NRA over the survivors.
+  /// Distributed BPA: the BPA loop over RemoteListIo — one round per row,
+  /// sorted windows plus one lookup batch per list for the row's newly seen
+  /// items, the paper's λ (best-position) stop rule. Any scorer. Fault-free
+  /// results are byte-identical to single-node BPA with seen-item
+  /// memoization; a lost list degrades to NRA over the survivors.
   Result<TopKResult> ExecuteBpa(const TopKQuery& query);
 
-  /// Distributed TPUT: the three-phase protocol (top-k prefixes; drain to
-  /// τ1/m via kDrain messages whose threshold stop runs owner-side; batched
-  /// random-access resolution of the τ2 survivors). Summation scoring only.
-  /// Fault-free results are byte-identical to single-node TPUT; owner death
-  /// degrades to NRA over the survivors.
+  /// Distributed TPUT: the TPUT loop over RemoteListIo — the three-phase
+  /// protocol (top-k prefixes; drain to τ1/m via kDrain messages whose
+  /// threshold stop runs owner-side; batched random-access resolution of the
+  /// τ2 survivors), one round per phase. Summation scoring only. Fault-free
+  /// results are byte-identical to single-node TPUT; a lost list degrades to
+  /// NRA over the survivors.
   Result<TopKResult> ExecuteTput(const TopKQuery& query);
 
   /// Wire/robustness counters of the last Execute call.
@@ -189,11 +198,9 @@ class Coordinator {
   }
 
  private:
-  struct PendingItem {
-    ItemId item;
-    uint32_t first_list;
-    Score first_score;
-  };
+  // The access policy routes its windows and lookups through ListRpc and
+  // reads the catalog, the options and the round/virtual-time counters.
+  friend class RemoteListIo;
 
   /// Per-replica health, reset per query: a consecutive-failure circuit
   /// breaker (closed → open after breaker_failures straight failures; open →
@@ -212,8 +219,10 @@ class Coordinator {
   static constexpr size_t kNoList = static_cast<size_t>(-1);
 
   Status ValidateQuery(const char* algorithm, const TopKQuery& query) const;
-  void BeginQuery();
-  void FinishQuery(TopKResult* result) const;
+
+  /// Runs a validated query: the BPA (or TPUT) loop over RemoteListIo, and
+  /// the NRA degrade when the loop lost a list.
+  Result<TopKResult> Execute(const TopKQuery& query, bool bpa);
 
   // --- RPC machinery (retry / backoff / hedging / death) ---
 
@@ -238,7 +247,7 @@ class Coordinator {
   Status OwnerRpc(size_t owner, size_t list, const Request& request,
                   Reply* reply, bool allow_breaker_failover);
 
-  /// The list-level RPC the phase loops call: PickReplica → OwnerRpc,
+  /// The list-level RPC RemoteListIo calls: PickReplica → OwnerRpc,
   /// laddering across the replica group (each breaker failover or owner
   /// death re-routes to the next-healthiest survivor) until one replica
   /// answers or the whole group is dead (Unavailable → the degrade path).
@@ -271,22 +280,6 @@ class Coordinator {
   void RecordOutcome(size_t owner, bool success);
   double HealthJitter();
 
-  // --- sorted-access windows (one cursor per list, coordinator-side) ---
-
-  /// The entry at 1-based `position` of `list_index`, served from the list's
-  /// window buffer (one kSortedWindow RPC per window_rows positions).
-  Status WindowEntry(size_t list_index, Position position, ListEntry* entry);
-
-  // --- shared degraded path ---
-
-  /// NRA over the surviving lists, from scratch (the same re-run discipline
-  /// as the single-node engine's failover): dead lists are bounded at their
-  /// advertised max score, survivors re-scan from position 1, and the answer
-  /// is certified anytime with Completion::kListFailure (or the governor's
-  /// trip reason, which takes precedence). Always returns OK with a
-  /// certified result.
-  Status DegradeToNra(const TopKQuery& query, TopKResult* result);
-
   Transport* transport_;
   DistOptions options_;
 
@@ -300,15 +293,13 @@ class Coordinator {
   Score floor_ = 0.0;
   bool connected_ = false;
 
-  // Per-query state (reset by BeginQuery; storage retained).
+  // Per-query state (reset by Execute; storage retained).
   DistStats stats_;
-  AccessStats access_;  // synthesized logical access counts (parity metric)
-  QueryGovernor governor_;
-  TopKBuffer buffer_;
-  CandidatePool pool_;
   uint64_t backoff_counter_ = 0;
+  ExecutionContext context_;  // the loops' scratch and the query governor
+  RemoteListIo::Buffers remote_;
 
-  // Replica health (reset by BeginQuery).
+  // Replica health (reset by Execute).
   std::vector<ReplicaHealth> health_;        // per owner
   std::vector<size_t> primary_of_;           // list -> sticky routed replica
   std::vector<uint8_t> group_lost_counted_;  // list -> groups_lost tallied
@@ -319,29 +310,7 @@ class Coordinator {
   std::vector<double> latency_ring_;  // owner-major, kLatencyRing samples
   std::vector<uint32_t> latency_count_;
 
-  // Window buffers: one per list.
-  std::vector<Position> window_base_;          // first buffered position; 0 = empty
-  std::vector<std::vector<ListEntry>> window_;
-
-  // BPA row state.
-  std::vector<std::vector<uint8_t>> pos_seen_;  // list -> 1-based seen flags
-  std::vector<std::vector<Score>> pos_score_;   // list -> score at seen pos
-  std::vector<Position> best_pos_;
-  std::vector<uint8_t> memo_state_;  // item: 0 unknown / 1 pending / 2 resolved
-  std::vector<Score> memo_score_;
-  std::vector<PendingItem> pending_;
-  std::vector<Score> pending_rows_;             // pending-major, m scores each
-  std::vector<std::vector<ItemId>> batch_items_;  // per-list lookup batches
-  std::vector<std::vector<uint32_t>> batch_pending_;  // parallel: pending idx
-
-  // Shared scratch.
-  std::vector<Score> last_scores_;
-  std::vector<Score> local_;
-  std::vector<Score> capped_;
-  std::vector<Score> tmp_;
-  std::vector<Position> list_depths_;
-  std::vector<uint32_t> survivors_;
-  std::vector<ItemId> winners_;
+  // RPC scratch.
   Request request_;
   Reply reply_;
   Reply hedge_reply_;
