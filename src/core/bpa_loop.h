@@ -101,6 +101,7 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
       // the lookups.
       for (size_t j = 0; j < m && !row_items.empty(); ++j) {
         if (!io.RandomAlive(j)) {
+          io.Flush();
           return Status::Unavailable(
               "BPA: list ", j,
               " died permanently; random access is unavailable");

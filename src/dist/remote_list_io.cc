@@ -13,7 +13,6 @@ void RemoteListIo::Buffers::Reset(size_t m, size_t n,
                                   bool record_seen_scores) {
   lists.resize(m);
   for (List& list : lists) {
-    list.window_base = 0;
     list.window.clear();
     list.queued.clear();
     list.issued.clear();
@@ -35,6 +34,7 @@ void RemoteListIo::Buffers::Reset(size_t m, size_t n,
 void RemoteListIo::Buffers::RestartScans() {
   for (List& list : lists) {
     list.next = 1;
+    list.window_end = 0;  // refills restart at position 1 too
   }
   horizon = num_items;
   draining = false;
@@ -109,6 +109,7 @@ bool RemoteListIo::Refill(size_t list_index) {
   }
   list.window.swap(coordinator_->reply_.entries);
   list.window_base = list.next;
+  list.window_end = list.next + static_cast<Position>(list.window.size());
   return !list.window.empty();
 }
 

@@ -61,7 +61,8 @@ class RemoteListIo {
   /// retained across queries.
   struct Buffers {
     struct List {
-      Position window_base = 0;  ///< position of window[0]; 0 = empty
+      Position window_base = 0;  ///< position of window[0]
+      Position window_end = 0;   ///< one past the last buffered position
       std::vector<ListEntry> window;
       Position next = 1;  ///< the position the loop reads next
       std::vector<ItemId> queued;  ///< lookups queued for the next batch
@@ -79,8 +80,8 @@ class RemoteListIo {
     /// — and so written — earlier in the same query.
     void Reset(size_t m, size_t n, bool record_seen_scores);
 
-    /// Rewinds every sorted cursor to position 1 and drops the horizon and
-    /// drain threshold (buffered windows stay valid): the degraded NRA
+    /// Rewinds every sorted cursor to position 1 and drops the buffered
+    /// windows, the horizon and the drain threshold: the degraded NRA
     /// re-scans from scratch, like the single-node failover. Access counts
     /// carry over.
     void RestartScans();
@@ -108,7 +109,7 @@ class RemoteListIo {
     Buffers::List& list = buffers_->lists[list_index];
     const ListEntry entry = list.window[position - list.window_base];
     list.next = position + 1;
-    ++buffers_->access.sorted_accesses;
+    ++run_.sorted_accesses;
     RecordSeen(list_index, position, entry.score);
     return AccessedEntry{entry.item, entry.score, position};
   }
@@ -120,13 +121,19 @@ class RemoteListIo {
     assert(list.popped < list.lookups.size() &&
            list.issued[list.popped] == item);
     const ItemLookup lookup = list.lookups[list.popped++];
-    ++buffers_->access.random_accesses;
+    ++run_.random_accesses;
     RecordSeen(list_index, lookup.position, lookup.score);
     return lookup;
   }
 
-  void Flush() {}
-  const AccessStats& stats() const { return buffers_->access; }
+  /// Like RawListIo, a run counts into the policy object (kept in
+  /// registers by the loop) and flushes once into Buffers::access, which
+  /// carries the counts across the degrade's second run.
+  void Flush() {
+    buffers_->access += run_;
+    run_ = AccessStats{};
+  }
+  AccessStats stats() const { return buffers_->access + run_; }
 
   /// True when the list is alive and its next entry is buffered — the
   /// refill point (see the file comment).
@@ -135,11 +142,7 @@ class RemoteListIo {
     if (!list.alive) {
       return false;
     }
-    if (list.window_base != 0 && list.next >= list.window_base &&
-        list.next - list.window_base < list.window.size()) {
-      return true;
-    }
-    return Refill(list_index);
+    return list.next < list.window_end || Refill(list_index);
   }
   bool RandomAlive(size_t list_index) const {
     return buffers_->lists[list_index].alive;
@@ -210,6 +213,7 @@ class RemoteListIo {
 
   Coordinator* coordinator_;
   Buffers* buffers_;
+  AccessStats run_;  // this run's accesses, not yet flushed
 };
 
 }  // namespace topk
