@@ -77,7 +77,7 @@ Status RunNraLoop(const AlgorithmOptions& options, const TopKQuery& query,
   // 1.25x the surviving size — occupancy hugs the live population instead
   // of O(every seen item), the difference between ~k-digit pools and
   // n-sized pools at DRAM-scale n. The tight 1.25x productive schedule
-  // (PR 4 shipped 2x) is affordable because a productive pass's walk is
+  // (rather than 2x) is affordable because a productive pass's walk is
   // dominated by the subtree-bulk victim collection it erases — the walk
   // amortizes against the erasures, so re-triggering at 1.25x live instead
   // of 2x only re-walks what genuinely survived.
@@ -195,7 +195,7 @@ Status RunNraLoop(const AlgorithmOptions& options, const TopKQuery& query,
         const size_t after = pool.size();
         // Productive passes (a quarter or more erased — on the compactable
         // shapes they erase 80%+) reset the watermark tight: 1.25x the
-        // surviving live set (PR 4 shipped 2x), so occupancy hugs the live
+        // surviving live set (not 2x), so occupancy hugs the live
         // population. The quarter bar also keeps marginally-dead pools out
         // of the tight schedule: resetting tight on a 10% erase makes the
         // live-heavy shapes churn (erase, re-see, re-insert) near the

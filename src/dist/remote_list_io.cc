@@ -13,11 +13,7 @@ void RemoteListIo::Buffers::Reset(size_t m, size_t n,
                                   bool record_seen_scores) {
   lists.resize(m);
   for (List& list : lists) {
-    list.window.clear();
-    list.queued.clear();
-    list.issued.clear();
-    list.lookups.clear();
-    list.popped = 0;
+    list.queued.clear();  // a run that ended early may have left some
     list.alive = true;
   }
   num_items = static_cast<Position>(n);
@@ -52,8 +48,6 @@ uint32_t RemoteListIo::DeadLists() const {
 double RemoteListIo::VirtualLatencyMs() const {
   return coordinator_->stats_.virtual_ms;
 }
-
-size_t RemoteListIo::num_items() const { return coordinator_->n_; }
 
 Score RemoteListIo::MaxScore(size_t list_index) const {
   return coordinator_->max_score_[list_index];

@@ -106,12 +106,11 @@ class RemoteListIo {
   /// The entry at `position` of the list; requires a preceding
   /// SortedAlive(list_index) that returned true.
   AccessedEntry Sorted(size_t list_index, Position position) {
-    Buffers::List& list = buffers_->lists[list_index];
-    const ListEntry entry = list.window[position - list.window_base];
-    list.next = position + 1;
+    const AccessedEntry entry = PeekSorted(list_index, position);
+    buffers_->lists[list_index].next = position + 1;
     ++run_.sorted_accesses;
     RecordSeen(list_index, position, entry.score);
-    return AccessedEntry{entry.item, entry.score, position};
+    return entry;
   }
 
   /// The next answer of the list's issued batch, which was queued for
@@ -153,7 +152,7 @@ class RemoteListIo {
 
   // --- list metadata (from the catalog) ---
 
-  size_t num_items() const;
+  size_t num_items() const { return buffers_->num_items; }
   size_t num_lists() const { return buffers_->lists.size(); }
   Score MaxScore(size_t list_index) const;
   Score ScoreAtSeen(size_t list_index, Position position) const {
