@@ -28,10 +28,11 @@
 
 namespace topk {
 
-/// Epoch-stamped memo of resolved overall scores, keyed by dense item id.
-/// Replaces the per-query unordered_map of the TA/BPA memoization ablation:
-/// one flat array touch per lookup, no hashing, no node allocations, and an
-/// O(1) per-query reset (epoch bump instead of clearing n entries).
+/// Epoch-stamped memo of scores keyed by a dense id: the TA/BPA
+/// memoization ablation's resolved overall scores by item id, and the remote
+/// access policy's seen-position scores by position. One flat array touch
+/// per lookup, no hashing, no node allocations, and an O(1) per-query reset
+/// (epoch bump instead of clearing n entries).
 class ScoreMemo {
  public:
   /// Forgets all entries and guarantees capacity for items 0..n-1. O(1)

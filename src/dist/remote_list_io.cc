@@ -19,9 +19,11 @@ void RemoteListIo::Buffers::Reset(size_t m, size_t n,
   num_items = static_cast<Position>(n);
   RestartScans();
   record_seen = record_seen_scores;
-  seen_stride = n + 1;
-  if (record_seen && seen_scores.size() < m * seen_stride) {
-    seen_scores.resize(m * seen_stride);
+  if (record_seen) {
+    seen.resize(m);
+    for (ScoreMemo& memo : seen) {
+      memo.Reset(n + 1);
+    }
   }
   access = AccessStats{};
   error = Status::OK();

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/execution_context.h"
 #include "lists/access_engine.h"
 #include "lists/access_stats.h"
 #include "lists/types.h"
@@ -75,9 +76,7 @@ class RemoteListIo {
     /// Starts a query over `m` lists of `n` positions: empty windows,
     /// cursors at position 1, no batches, zero counts. With
     /// `record_seen_scores` (BPA) every served score is kept by position
-    /// for ScoreAtSeen. That store is never cleared: BPA only reads
-    /// positions its trackers marked, and every marked position was served
-    /// — and so written — earlier in the same query.
+    /// for ScoreAtSeen, in epoch-stamped memos that reset in O(1).
     void Reset(size_t m, size_t n, bool record_seen_scores);
 
     /// Rewinds every sorted cursor to position 1 and drops the buffered
@@ -92,8 +91,7 @@ class RemoteListIo {
     bool draining = false;
     Score drain_threshold = 0.0;
     bool record_seen = false;
-    size_t seen_stride = 0;          ///< n + 1
-    std::vector<Score> seen_scores;  ///< list-major, indexed by position
+    std::vector<ScoreMemo> seen;  ///< per list, keyed by position
     AccessStats access;
     Status error;
   };
@@ -155,11 +153,12 @@ class RemoteListIo {
   size_t num_items() const { return buffers_->num_items; }
   size_t num_lists() const { return buffers_->lists.size(); }
   Score MaxScore(size_t list_index) const;
+  /// A position not served this query (0: nothing seen yet) is bounded by
+  /// the list maximum.
   Score ScoreAtSeen(size_t list_index, Position position) const {
-    return position == 0
-               ? MaxScore(list_index)
-               : buffers_->seen_scores[list_index * buffers_->seen_stride +
-                                       position];
+    const ScoreMemo& seen = buffers_->seen[list_index];
+    return seen.Contains(position) ? seen.Get(position)
+                                   : MaxScore(list_index);
   }
   double SummationMargin(double score_floor) const;
 
@@ -195,8 +194,7 @@ class RemoteListIo {
  private:
   void RecordSeen(size_t list_index, Position position, Score score) {
     if (buffers_->record_seen) {
-      buffers_->seen_scores[list_index * buffers_->seen_stride + position] =
-          score;
+      buffers_->seen[list_index].Put(position, score);
     }
   }
 
