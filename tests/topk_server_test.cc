@@ -371,14 +371,18 @@ TEST_F(TopKServerTest, OverdueInFlightRequestIsCancelledWithCertificate) {
 // flag at run start, so a RequestCancel that lands between slot publication
 // and Arm would be lost if delivered only once. The watchdog re-cancels every
 // still-overdue slot each pass, so the cancel must arrive eventually no
-// matter how the first delivery interleaves with Arm. The worker stays
+// matter how the first delivery interleaves with Arm. A 1 ms deadline puts
+// the first cancel right around dequeue and Arm; the worker then stays
 // parked until the test observes the cancel flag set on its governor — the
 // park began after Arm, so an observed flag can no longer be cleared — which
 // makes the outcome independent of how promptly the watchdog thread gets
-// scheduled. Under TSan this also proves the slot-mutex/atomic discipline of
-// the re-cancel path.
+// scheduled. A request whose deadline is already gone at dequeue never
+// reaches the gate; that attempt is checked as such and retried, so 25
+// iterations each park a worker. Under TSan this also proves the
+// slot-mutex/atomic discipline of the re-cancel path.
 TEST_F(TopKServerTest, WatchdogRecancelSurvivesArmRace) {
-  for (int iteration = 0; iteration < 25; ++iteration) {
+  int expired_attempts = 0;
+  for (int iteration = 0; iteration < 25;) {
     GateScorer gate;
     ServerOptions options;
     options.num_threads = 1;
@@ -388,20 +392,33 @@ TEST_F(TopKServerTest, WatchdogRecancelSurvivesArmRace) {
     ServerRequest request;
     request.kind = AlgorithmKind::kTa;
     request.query = TopKQuery{3, &gate};
-    // Far longer than a dequeue takes even on a loaded host (an expired-at-
-    // dequeue request never reaches the gate), far shorter than the park.
-    request.deadline_ms = 20.0;
+    request.deadline_ms = 1.0;
     auto future = server.Submit(request);
-    ASSERT_TRUE(gate.AwaitEnteredOrResolved(future))
-        << "iteration " << iteration << ": the request never reached a worker";
+    if (!gate.AwaitEnteredOrResolved(future)) {
+      // Expired while queued: failed without executing, nothing to race.
+      const Result<TopKResult> expired = future.get();
+      ASSERT_TRUE(expired.status().IsResourceExhausted())
+          << expired.status().ToString();
+      ASSERT_EQ(server.stats().expired_at_dequeue, 1u);
+      ASSERT_LT(++expired_attempts, 1000)
+          << "requests keep expiring before a worker picks them up";
+      continue;
+    }
     // The worker is parked inside the query's first aggregation; the
     // deadline expires while it sits there and the watchdog fires (and keeps
     // re-firing) across the park. Hold the gate until that cancel is visible.
     const QueryGovernor& governor = server.worker_context(0).governor();
-    while (!governor.cancel_requested()) {
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::seconds(30);
+    while (!governor.cancel_requested() &&
+           std::chrono::steady_clock::now() < give_up) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
+    const bool cancelled = governor.cancel_requested();
     gate.Open();
+    ASSERT_TRUE(cancelled) << "iteration " << iteration
+                           << ": the watchdog never cancelled the parked "
+                              "overdue query";
 
     Result<TopKResult> got = future.get();
     ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -411,6 +428,7 @@ TEST_F(TopKServerTest, WatchdogRecancelSurvivesArmRace) {
     EXPECT_GE(result.theta, 1.0) << "iteration " << iteration;
     EXPECT_EQ(server.stats().deadline_cancelled, 1u)
         << "iteration " << iteration;
+    ++iteration;
   }
 }
 
