@@ -13,8 +13,8 @@
 //   - the *max* side (strongest at root, every subtree root majorizes its
 //     descendants) serves the existence/argmax/bulk questions — "does any
 //     member still block the stop?" (GroupFindBlocker), "which member has
-//     the largest upper bound?" (GroupArgmaxUnresolved), TPUT's τ2 filter
-//     and NRA's rare compaction passes (GroupCompact) — pruning whole
+//     the largest upper bound?" (GroupArgmaxUnresolved) and NRA's rare
+//     compaction passes (GroupCompact) — pruning whole
 //     subtrees once their keys drop below the decision threshold;
 //   - CA's optional *min* side (weakest at root; see CandidatePool for the
 //     when-it-pays analysis) serves its per-stop-check prune-and-erase pass
@@ -31,7 +31,7 @@
 // that survives the margin test is then evaluated with the exact same
 // interleaved summation the pre-group-index per-candidate sweep used
 // (PoolUpperBound). Decisions — stop positions, CA's resolution victims,
-// TPUT's phase-3 survivors, and therefore all access counts — are thus
+// and therefore all access counts — are thus
 // byte-identical to the O(pool) sweeps they replace: members below the
 // margined threshold provably cannot pass the exact comparison, and members
 // above it face the exact comparison itself.

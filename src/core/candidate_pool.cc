@@ -28,7 +28,7 @@ constexpr size_t kInitialMaskTableSize = 128;   // power of two
 void CandidatePool::Reset(size_t m, size_t k, Score floor, bool eager_groups,
                           bool dual_heap) {
   assert(m >= 1 && m <= kMaxLists);
-  assert(eager_groups || !dual_heap);  // a lazy index is never peeled
+  assert(eager_groups || !dual_heap);  // no index, no min side
   m_ = m;
   k_ = k;
   floor_ = floor;
@@ -438,14 +438,6 @@ void CandidatePool::OfferLower(uint32_t slot, Score lower) {
   }
   if (eager_groups_) {
     GroupInsert(slot);
-  }
-}
-
-void CandidatePool::BuildGroups() {
-  for (uint32_t slot = 0; slot < size_; ++slot) {
-    if (!InHeap(slot) && group_of_[slot] == kNoGroup) {
-      GroupInsert(slot);
-    }
   }
 }
 

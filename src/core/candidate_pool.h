@@ -68,12 +68,11 @@
 //     CA. See Reset for the measured trade (an always-on min side — eagerly
 //     backlinked or lazy — made NRA ~2x slower at n=1M, because NRA
 //     registers ~10^6 times per query and peels only on its rare
-//     watermark-triggered compactions). Lazy index mode (TPUT, which
-//     consults the index exactly once and only ever walks strongest-first)
-//     defers all registration to one BuildGroups() call. Threshold-heap
+//     watermark-triggered compactions). With the index off
+//     (Reset's eager_groups), nothing is registered at all. Threshold-heap
 //     members are deliberately absent from the groups: they are the current
 //     answer and never block the stop rule; callers that need them (CA's
-//     victim selection, TPUT's phase 3) scan the ≤ k heap slots directly.
+//     victim selection) scan the ≤ k heap slots directly.
 //
 // Tie-breaking is deterministic everywhere: on equal lower bounds the smaller
 // item id is the stronger candidate, matching TopKBuffer and the library-wide
@@ -111,11 +110,11 @@ class CandidatePool {
   /// item→slot and mask→group indexes are invalidated by an epoch bump, not
   /// cleared.
   ///
-  /// `eager_groups` selects when the group index is maintained: eagerly on
-  /// every OfferLower (NRA/CA, whose checks run against the groups every few
-  /// rows) or deferred until one explicit BuildGroups() call (TPUT, which
-  /// consults the groups exactly once, for its phase-3 τ2 filter — paying
-  /// per-access re-registration for an index read once is a net loss).
+  /// `eager_groups` selects whether the group index is maintained, eagerly
+  /// on every OfferLower (summation NRA and CA, whose checks run against the
+  /// groups every few rows), or not at all (TPUT, whose single phase-3
+  /// filter is cheaper as one slot sweep than as an index build, and the
+  /// non-summation NRA, whose bounds do not decompose per mask).
   ///
   /// `dual_heap` adds the min side to each group. It defaults to off because
   /// it is a consumer-driven trade: each registration pushes one min-side
@@ -127,16 +126,9 @@ class CandidatePool {
   /// compactions (a handful per query against ~10^6 registrations) — an
   /// always-on min side measured ~2x slower end-to-end for NRA at n=1M, so
   /// NRA runs max-side-only and compacts with the max-side walk. Requires
-  /// eager_groups (a lazily-built index is read strongest-first once and
-  /// never peeled).
+  /// eager_groups.
   void Reset(size_t m, size_t k, Score floor, bool eager_groups = true,
              bool dual_heap = false);
-
-  /// Registers every candidate outside the threshold heap in the group of
-  /// its current mask (O(size) total). The one-shot complement of
-  /// Reset(..., /*eager_groups=*/false); idempotent for already-registered
-  /// candidates.
-  void BuildGroups();
 
   /// Number of live candidates. Slots are dense: 0 .. size()-1.
   size_t size() const { return size_; }

@@ -144,8 +144,8 @@ class ExecutionContext {
   /// queries, so a warmed context sizes itself to the workload once and then
   /// serves queries without growing. `eager_groups` picks the pool's
   /// per-mask group index maintenance mode (see CandidatePool::Reset):
-  /// eager for the repeated stop checks of NRA/CA, deferred-to-BuildGroups
-  /// for TPUT's single phase-3 filter. `dual_heap` adds the min side CA's
+  /// eager for the repeated stop checks of NRA/CA, off for TPUT's single
+  /// phase-3 sweep. `dual_heap` adds the min side CA's
   /// per-stop-check prune peels (a per-registration cost only its peel
   /// frequency justifies — NRA and TPUT leave it off).
   CandidatePool& PreparePool(size_t m, size_t k, Score floor,

@@ -92,7 +92,7 @@ Status RunNraLoop(const AlgorithmOptions& options, const TopKQuery& query,
     const Position round_end =
         std::min<Position>(depth + kCheckInterval, static_cast<Position>(n));
     if constexpr (!IoT::kLocal) {
-      io.BeginRound();
+      io.BeginSweep();
     }
     for (size_t i = 0; i < m; ++i) {
       for (Position d = depth + 1; d <= round_end; ++d) {
@@ -107,15 +107,12 @@ Status RunNraLoop(const AlgorithmOptions& options, const TopKQuery& query,
         // Prefetch pipelining (same discipline as the TA/BPA mirror
         // prefetches): request the pool's probe cell for the item this list
         // reveals kPrefetchRowsAhead rows from now — the item id is read
-        // straight off the list's sequential (cache-resident) item array,
-        // uncounted and decision-free, so the access pattern is untouched
-        // while the FindOrInsert probe's DRAM latency overlaps the rows in
-        // between.
-        if constexpr (IoT::kLocal) {
-          if (d + kPrefetchRowsAhead <= n) {
-            pool.PrefetchItem(
-                io.db().list(i).items()[d - 1 + kPrefetchRowsAhead]);
-          }
+        // straight off the list's sequential (cache-resident) item array, or
+        // a remote list's buffered window, uncounted and decision-free, so
+        // the access pattern is untouched while the FindOrInsert probe's
+        // DRAM latency overlaps the rows in between.
+        if (const ItemId* ahead = io.UpcomingItem(i, d + kPrefetchRowsAhead)) {
+          pool.PrefetchItem(*ahead);
         }
         const AccessedEntry entry = io.Sorted(i, d);
         last_scores[i] = entry.score;

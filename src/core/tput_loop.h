@@ -24,12 +24,9 @@ namespace topk {
 
 // Templated on the access policy (TPUT is summation-only, so there is no
 // scorer dispatch): the default raw-list configuration inlines all three
-// phases' access loops over the pool's flat rows. Phase 3's τ2 filter runs
-// on the pool's per-mask group index: whole groups whose margined best upper
-// bound falls below τ2 are skipped without touching their members, and the
-// members that survive the margined walk face the exact same interleaved
-// bound the full sweep used — survivors, and therefore random-access counts,
-// are unchanged.
+// phases' access loops over the pool's flat rows. Phase 3's τ2 filter is
+// one sequential sweep over the pool's slots: the filter runs once per
+// query, so building a group index for it would cost more than the sweep.
 template <typename IoT>
 Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
                    ExecutionContext* context, IoT io, TopKResult* result) {
@@ -39,9 +36,8 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
 
   // Lower bounds (partial sums with floor-filled gaps) feed the pool's
   // threshold heap, whose k-th entry is exactly τ1/τ2 — no comparator set is
-  // rebuilt between phases. The group index is deferred (eager_groups off):
-  // phases 1 and 2 never consult it, so it is built exactly once, right
-  // before the phase-3 walk, instead of being re-maintained on every access.
+  // rebuilt between phases. No phase consults the group index, so it is
+  // never maintained (eager_groups off).
   CandidatePool& pool =
       context->PreparePool(m, query.k, floor, /*eager_groups=*/false);
   const auto record = [&](size_t list_index, const AccessedEntry& entry) {
@@ -104,6 +100,16 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
   // can hide arbitrarily strong unseen items), so any death surfaces as the
   // Unavailable marker and ExecuteInto fails over to NRA. RandomAlive is the
   // side-effect-free liveness test (a remote SortedAlive refills windows).
+  // A local run finishes the phase over the surviving lists first; a remote
+  // one fails over at the first lost list, since every further message
+  // would only spend virtual time against the deadline.
+  const auto list_lost = [&](size_t dead) -> Status {
+    io.Flush();
+    return Status::Unavailable(
+        "TPUT: list ", dead,
+        " died permanently; the τ1/m drain guarantee no longer covers its "
+        "unseen entries");
+  };
   const auto first_dead_list = [&]() -> size_t {
     for (size_t i = 0; i < m; ++i) {
       if (!io.RandomAlive(i)) {
@@ -123,16 +129,16 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
     for (Position p = 1; p <= depth; ++p) {
       if constexpr (IoT::kFaultAware) {
         if (!io.SortedAlive(i)) {
+          if (!IoT::kLocal && !io.RandomAlive(i)) {
+            return list_lost(i);
+          }
           break;
         }
       }
       // Probe-cell prefetch pipelining — uncounted, decision-free; see
       // nra_loop.h.
-      if constexpr (IoT::kLocal) {
-        if (p + kPrefetchRowsAhead <= n) {
-          pool.PrefetchItem(
-              io.db().list(i).items()[p - 1 + kPrefetchRowsAhead]);
-        }
+      if (const ItemId* ahead = io.UpcomingItem(i, p + kPrefetchRowsAhead)) {
+        pool.PrefetchItem(*ahead);
       }
       const AccessedEntry entry = io.Sorted(i, p);
       last_scores[i] = entry.score;
@@ -148,11 +154,7 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
   }
   if constexpr (IoT::kFaultAware) {
     if (const size_t dead = first_dead_list(); dead < m) {
-      io.Flush();
-      return Status::Unavailable(
-          "TPUT: list ", dead,
-          " died permanently; the τ1/m drain guarantee no longer covers its "
-          "unseen entries");
+      return list_lost(dead);
     }
   }
   if ((reason = governor.Charge(io.stats(), pool.LiveCandidateBytes(),
@@ -179,15 +181,15 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
     while (list_depths[i] < n && last_scores[i] >= threshold) {
       if constexpr (IoT::kFaultAware) {
         if (!io.SortedAlive(i)) {
-          break;
+          if (!IoT::kLocal && !io.RandomAlive(i)) {
+            return list_lost(i);
+          }
+          break;  // dead, or (remote) the owner-side drain stopped
         }
       }
       const Position p = ++list_depths[i];
-      if constexpr (IoT::kLocal) {
-        if (p + kPrefetchRowsAhead <= n) {
-          pool.PrefetchItem(
-              io.db().list(i).items()[p - 1 + kPrefetchRowsAhead]);
-        }
+      if (const ItemId* ahead = io.UpcomingItem(i, p + kPrefetchRowsAhead)) {
+        pool.PrefetchItem(*ahead);
       }
       const AccessedEntry entry = io.Sorted(i, p);
       record(i, entry);
@@ -204,11 +206,7 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
   }
   if constexpr (IoT::kFaultAware) {
     if (const size_t dead = first_dead_list(); dead < m) {
-      io.Flush();
-      return Status::Unavailable(
-          "TPUT: list ", dead,
-          " died permanently; the τ1/m drain guarantee no longer covers its "
-          "unseen entries");
+      return list_lost(dead);
     }
   }
   if ((reason = governor.Charge(io.stats(), pool.LiveCandidateBytes(),
@@ -226,8 +224,8 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
   // candidates contain the exact (score desc, item id asc) top-k.
   //
   // Folding the threshold ceiling into a capped copy of the depth scores
-  // reduces the phase-3 bound to the shared SumUpperBound/GroupUnseenDelta
-  // arithmetic — one summation for every parity-sensitive call site.
+  // reduces the phase-3 bound to the shared SumUpperBound arithmetic — one
+  // summation for every parity-sensitive call site.
   if constexpr (!IoT::kLocal) {
     io.BeginRound();
   }
@@ -235,31 +233,11 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
   for (size_t i = 0; i < m; ++i) {
     capped_scores[i] = std::min(last_scores[i], threshold);
   }
-  pool.BuildGroups();
   std::vector<uint32_t>& survivors = context->ClearedSlots();
-  for (uint32_t slot : pool.heap_slots()) {
+  for (uint32_t slot = 0; slot < pool.size(); ++slot) {
     if (SumUpperBound(pool, slot, capped_scores) >= tau2) {
       survivors.push_back(slot);
     }
-  }
-  const double margin = io.SummationMargin(floor);
-  for (size_t g = 0; g < pool.num_groups(); ++g) {
-    const ArenaVec<uint32_t>& members = pool.group_members(g);
-    if (members.empty()) {
-      continue;
-    }
-    const Score delta =
-        GroupUnseenDelta(pool.group_mask(g), m, capped_scores, floor);
-    WalkGroupMembers(members, 0, [&](size_t /*pos*/, uint32_t slot) {
-      if (pool.lower(slot) + delta < tau2 - margin) {
-        // Every descendant is below τ2 as well.
-        return GroupWalkAction::kSkipSubtree;
-      }
-      if (SumUpperBound(pool, slot, capped_scores) >= tau2) {
-        survivors.push_back(slot);
-      }
-      return GroupWalkAction::kDescend;
-    });
   }
 
   if constexpr (!IoT::kLocal) {

@@ -134,7 +134,7 @@ struct DistStats {
   uint64_t replies_received = 0;  ///< incl. duplicate deliveries
   uint64_t bytes_sent = 0;
   uint64_t bytes_received = 0;  ///< incl. duplicate deliveries
-  uint64_t rounds = 0;          ///< dBPA rows, dTPUT phases, NRA rounds
+  uint64_t rounds = 0;          ///< dBPA rows, dTPUT phases, NRA window sweeps
   uint64_t retries = 0;         ///< re-attempts after a lost/failed exchange
   uint64_t hedges = 0;          ///< hedge requests issued
   uint64_t hedge_wins = 0;      ///< hedges whose reply beat the primary's

@@ -110,6 +110,10 @@ bool RemoteListIo::Refill(size_t list_index) {
 }
 
 bool RemoteListIo::Call(size_t list_index) {
+  if (sweep_open_) {
+    sweep_open_ = false;
+    ++coordinator_->stats_.rounds;
+  }
   const uint32_t deaths = coordinator_->stats_.owner_deaths;
   const Status status = coordinator_->ListRpc(
       list_index, coordinator_->request_, &coordinator_->reply_);

@@ -22,7 +22,10 @@
 //    in list order, and Random(j, item) pops list j's answers in the order
 //    they were queued.
 //  * BeginRound counts one coordinator round (DistStats::rounds): a row of
-//    dBPA, a phase of dTPUT, a check interval of the degraded NRA.
+//    dBPA, a phase of dTPUT. The degraded NRA opens each check interval
+//    with BeginSweep instead, which counts a round only once the interval
+//    sends a message — one window refill serves several intervals, so the
+//    count stays one per sweep of window requests.
 //
 // Death: a list dies when its whole replica group dies (ListRpc fails
 // Unavailable). It then reports dead through SortedAlive/RandomAlive, so the
@@ -162,9 +165,20 @@ class RemoteListIo {
   }
   double SummationMargin(double score_floor) const;
 
+  /// The item at `position` if the list's window buffers it, for the
+  /// loops' uncounted pool-probe prefetches; null otherwise.
+  const ItemId* UpcomingItem(size_t list_index, Position position) const {
+    const Buffers::List& list = buffers_->lists[list_index];
+    return position < list.window_end
+               ? &list.window[position - list.window_base].item
+               : nullptr;
+  }
+
   // --- wire hooks (called by the loops only for remote policies) ---
 
   void BeginRound();
+  /// Opens a round that is counted on its first message, if any.
+  void BeginSweep() { sweep_open_ = true; }
 
   /// Uncounted read of the buffered entry at `position` (the next one);
   /// requires a preceding SortedAlive(list_index) that returned true.
@@ -211,6 +225,7 @@ class RemoteListIo {
   Coordinator* coordinator_;
   Buffers* buffers_;
   AccessStats run_;  // this run's accesses, not yet flushed
+  bool sweep_open_ = false;  // a BeginSweep round not yet counted
 };
 
 }  // namespace topk

@@ -499,7 +499,7 @@ TEST(CandidatePoolTest, GroupIndexSurvivesEpochReuse) {
   }
 }
 
-TEST(CandidatePoolTest, LazyGroupModeDefersRegistrationToBuildGroups) {
+TEST(CandidatePoolTest, GroupIndexOffRegistersNothing) {
   CandidatePool pool;
   pool.Reset(/*m=*/2, /*k=*/2, /*floor=*/0.0, /*eager_groups=*/false);
   for (ItemId item = 0; item < 30; ++item) {
@@ -507,22 +507,12 @@ TEST(CandidatePoolTest, LazyGroupModeDefersRegistrationToBuildGroups) {
     pool.SetSeen(slot, item % 2, 1.0 + item);
     pool.OfferLower(slot, 1.0 + item);
   }
-  // Nothing registered while lazy: TPUT's phases 1-2 never pay for the index.
+  // Nothing registered with the index off: TPUT never pays for it.
   EXPECT_EQ(pool.num_groups(), 0u);
   for (uint32_t slot = 0; slot < pool.size(); ++slot) {
     EXPECT_EQ(pool.group_of(slot), CandidatePool::kNoGroup);
   }
-
-  pool.BuildGroups();
-  ExpectGroupIndexConsistent(pool);
-  EXPECT_EQ(pool.num_groups(), 2u);
-  size_t members = 0;
-  for (size_t g = 0; g < pool.num_groups(); ++g) {
-    members += pool.group_members(g).size();
-  }
-  EXPECT_EQ(members, 28u);  // 30 candidates minus the k=2 heap
-  pool.BuildGroups();  // idempotent
-  ExpectGroupIndexConsistent(pool);
+  EXPECT_EQ(pool.heap_size(), 2u);
 }
 
 // --- the 64-list mask-word cap ---
