@@ -123,12 +123,10 @@ class LocalLists {
   double SummationMargin(double score_floor) const {
     return SummationErrorMargin(*db_, score_floor);
   }
-  /// The item at sorted `position` of a list, for the loops' uncounted,
-  /// decision-free pool-probe prefetches; null past the list's end.
+  /// The item at sorted `position` (<= n) of a list, for the loops'
+  /// uncounted, decision-free pool-probe prefetches; never null here.
   const ItemId* UpcomingItem(size_t list_index, Position position) const {
-    return position <= db_->num_items()
-               ? &db_->list(list_index).items()[position - 1]
-               : nullptr;
+    return &db_->list(list_index).items()[position - 1];
   }
   /// The lists themselves, for the loops' uncounted cache prefetches.
   const Database& db() const { return *db_; }

@@ -111,8 +111,11 @@ Status RunNraLoop(const AlgorithmOptions& options, const TopKQuery& query,
         // a remote list's buffered window, uncounted and decision-free, so
         // the access pattern is untouched while the FindOrInsert probe's
         // DRAM latency overlaps the rows in between.
-        if (const ItemId* ahead = io.UpcomingItem(i, d + kPrefetchRowsAhead)) {
-          pool.PrefetchItem(*ahead);
+        if (d + kPrefetchRowsAhead <= n) {
+          if (const ItemId* ahead =
+                  io.UpcomingItem(i, d + kPrefetchRowsAhead)) {
+            pool.PrefetchItem(*ahead);
+          }
         }
         const AccessedEntry entry = io.Sorted(i, d);
         last_scores[i] = entry.score;

@@ -137,8 +137,11 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
       }
       // Probe-cell prefetch pipelining — uncounted, decision-free; see
       // nra_loop.h.
-      if (const ItemId* ahead = io.UpcomingItem(i, p + kPrefetchRowsAhead)) {
-        pool.PrefetchItem(*ahead);
+      if (p + kPrefetchRowsAhead <= n) {
+        if (const ItemId* ahead =
+                io.UpcomingItem(i, p + kPrefetchRowsAhead)) {
+          pool.PrefetchItem(*ahead);
+        }
       }
       const AccessedEntry entry = io.Sorted(i, p);
       last_scores[i] = entry.score;
@@ -188,8 +191,11 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
         }
       }
       const Position p = ++list_depths[i];
-      if (const ItemId* ahead = io.UpcomingItem(i, p + kPrefetchRowsAhead)) {
-        pool.PrefetchItem(*ahead);
+      if (p + kPrefetchRowsAhead <= n) {
+        if (const ItemId* ahead =
+                io.UpcomingItem(i, p + kPrefetchRowsAhead)) {
+          pool.PrefetchItem(*ahead);
+        }
       }
       const AccessedEntry entry = io.Sorted(i, p);
       record(i, entry);

@@ -165,8 +165,8 @@ class RemoteListIo {
   }
   double SummationMargin(double score_floor) const;
 
-  /// The item at `position` if the list's window buffers it, for the
-  /// loops' uncounted pool-probe prefetches; null otherwise.
+  /// The item at `position` (<= n) if the list's window buffers it, for
+  /// the loops' uncounted pool-probe prefetches; null otherwise.
   const ItemId* UpcomingItem(size_t list_index, Position position) const {
     const Buffers::List& list = buffers_->lists[list_index];
     return position < list.window_end
