@@ -24,11 +24,13 @@
 //
 // The three local policies (kLocal = true) share LocalLists: list metadata
 // read straight off the Database, plus the database itself for the loops'
-// uncounted cache prefetches. The remote policy has no database; its loops
-// compile the prefetches out (`if constexpr (IoT::kLocal)`) and instead
-// call the wire hooks that only it defines — BeginRound, PeekSorted,
-// QueueRandom/IssueRandom, LimitSortedWindows, DrainTo — which the local
-// instantiations compile out in turn.
+// uncounted cache prefetches. The remote policy has no database: it serves
+// UpcomingItem (the pool-probe prefetch source) from its buffered windows,
+// its loops compile the database prefetches out (`if constexpr
+// (IoT::kLocal)`), and they call the wire hooks that only it defines —
+// BeginRound/BeginSweep, PeekSorted, QueueRandom/IssueRandom,
+// LimitSortedWindows, DrainTo — which the local instantiations compile out
+// in turn.
 //
 // Policies whose lists can die report kFaultAware = true (FaultIo and
 // RemoteListIo), so the loops' aliveness guards compile in; the loops call
