@@ -1269,9 +1269,8 @@ int RunDistMode(const ThroughputConfig& config) {
   // cell per algorithm x R): at R=1 the list dies with the owner and the
   // answer degrades to a certified-theta NRA fallback; at R=2 the sibling
   // replica resumes the cursor exactly and the answer stays exact. The
-  // scenario gets a roomier deadline than the grid: dBPA's fault-free run
-  // already sits near the grid budget on this workload, and the point here
-  // is the failover tax (probes + timeouts), not deadline pressure.
+  // scenario gets a roomier deadline than the grid: the point here is the
+  // failover tax (probes + timeouts), not deadline pressure.
   const double kKillDeadlineMs = 2.0 * kDeadlineMs;
   char header[160];
   std::snprintf(header, sizeof(header),

@@ -68,46 +68,55 @@ Status RunBpaLoop(const AlgorithmOptions& options, const TopKQuery& query,
   Score lambda = std::numeric_limits<Score>::infinity();
   QueryGovernor& governor = context->governor();
   Completion reason = Completion::kExact;
+  // Remote lists: the last row the issued lookups cover.
+  [[maybe_unused]] Position looked_ahead = 0;
   while (!stopped && depth < n) {
     ++depth;
     if constexpr (!IoT::kLocal) {
-      // Remote lists: one round per row. Buffer the row's sorted entries
-      // (window refills, in list order), then issue one lookup batch per
-      // list covering every item this row sees for the first time — exactly
-      // the random accesses the row below makes, queued in the order it
-      // makes them, so λ, the buffer and the counts are those of the local
-      // memoized loop.
-      io.BeginRound();
-      std::vector<ItemId>& row_items = context->ClearedItems();
-      for (size_t i = 0; i < m; ++i) {
-        if (!io.SortedAlive(i)) {
-          continue;
+      if (depth > looked_ahead) {
+        // Remote lists: two fan-out rounds per window of rows. The first
+        // refills every live list's window at this row. The second issues
+        // one lookup batch per list covering every item the buffered rows
+        // see for the first time — exactly the random accesses the rows
+        // below make, queued in the order they make them, so λ, the buffer
+        // and the counts are those of the local memoized loop. Lookups for
+        // rows past the stop are sent but never consumed or counted.
+        io.BeginRound();
+        for (size_t i = 0; i < m; ++i) {
+          io.SortedAlive(i);
         }
-        const ItemId item = io.PeekSorted(i, depth).item;
-        if (resolved->Contains(item) ||
-            std::find(row_items.begin(), row_items.end(), item) !=
-                row_items.end()) {
-          continue;
-        }
-        row_items.push_back(item);
-        for (size_t j = 0; j < m; ++j) {
-          if (j != i) {
-            io.QueueRandom(j, item);
+        looked_ahead = std::max(depth, io.BufferedThrough());
+        bool queued = false;
+        for (Position d = depth; d <= looked_ahead; ++d) {
+          for (size_t i = 0; i < m; ++i) {
+            if (!io.RandomAlive(i)) {
+              continue;
+            }
+            const ItemId item = io.PeekSorted(i, d).item;
+            if (!io.RequestOnce(item)) {
+              continue;
+            }
+            queued = true;
+            for (size_t j = 0; j < m; ++j) {
+              if (j != i) {
+                io.QueueRandom(j, item);
+              }
+            }
           }
         }
-      }
-      // A list lost during the refills dooms the row's first resolution
-      // below (the fault-aware check), so fail over now, before spending
-      // the lookups.
-      for (size_t j = 0; j < m && !row_items.empty(); ++j) {
-        if (!io.RandomAlive(j)) {
-          io.Flush();
-          return Status::Unavailable(
-              "BPA: list ", j,
-              " died permanently; random access is unavailable");
+        // A list lost during the refills dooms the first resolution below
+        // (the fault-aware check), so fail over now, before spending the
+        // lookups.
+        for (size_t j = 0; j < m && queued; ++j) {
+          if (!io.RandomAlive(j)) {
+            io.Flush();
+            return Status::Unavailable(
+                "BPA: list ", j,
+                " died permanently; random access is unavailable");
+          }
         }
+        io.IssueRandom();
       }
-      io.IssueRandom();
     }
     // Fault injection: a dead list's sorted scan is skipped. λ stays a sound
     // upper bound on unseen items — the best-position argument is

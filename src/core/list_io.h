@@ -28,9 +28,9 @@
 // UpcomingItem (the pool-probe prefetch source) from its buffered windows,
 // its loops compile the database prefetches out (`if constexpr
 // (IoT::kLocal)`), and they call the wire hooks that only it defines —
-// BeginRound/BeginSweep, PeekSorted, QueueRandom/IssueRandom,
-// LimitSortedWindows, DrainTo — which the local instantiations compile out
-// in turn.
+// BeginRound, PeekSorted, QueueRandom/IssueRandom, RequestOnce,
+// BufferedThrough, LimitSortedWindows, DrainTo — which the local
+// instantiations compile out in turn.
 //
 // Policies whose lists can die report kFaultAware = true (FaultIo and
 // RemoteListIo), so the loops' aliveness guards compile in; the loops call

@@ -92,7 +92,7 @@ Status RunNraLoop(const AlgorithmOptions& options, const TopKQuery& query,
     const Position round_end =
         std::min<Position>(depth + kCheckInterval, static_cast<Position>(n));
     if constexpr (!IoT::kLocal) {
-      io.BeginSweep();
+      io.BeginRound();
     }
     for (size_t i = 0; i < m; ++i) {
       for (Position d = depth + 1; d <= round_end; ++d) {

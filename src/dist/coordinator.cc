@@ -618,7 +618,7 @@ Result<TopKResult> Coordinator::Execute(const TopKQuery& query, bool bpa) {
   }
   context_.PrepareScratch(m, query.k);
   context_.governor().Arm(options_.governor);
-  remote_.Reset(m, n_, /*record_seen_scores=*/bpa);
+  remote_.Reset(m, n_, bpa);
   RemoteListIo io(this, &remote_);
 
   // dBPA resolves each item once (memoization is implied by the remote

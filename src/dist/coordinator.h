@@ -10,8 +10,8 @@
 //  * the catalog handshake (Connect) and list → replica routing;
 //  * the robust RPC (ListRpc): every exchange runs under a per-call deadline
 //    with a bounded retry budget and deterministic jittered exponential
-//    backoff (all charged as virtual milliseconds against the query
-//    governor's deadline);
+//    backoff (all charged as virtual milliseconds, on the lane of the list
+//    the RPC serves, against the query governor's deadline);
 //  * straggler hedging: when an exchange outlasts a p99-derived per-owner
 //    hedge timeout, the request is re-issued and the earlier reply wins
 //    (duplicates are deduped and their bytes counted, as an at-least-once
@@ -29,10 +29,13 @@
 //  * the wire and robustness counters (DistStats).
 //
 // RemoteListIo batches the loops' accesses so the wire carries few large
-// messages — sorted access in windows of window_rows rows (kDrain with an
-// owner-side threshold stop in TPUT phase 2), random access in one lookup
-// vector per list per BPA row or TPUT phase 3 — the metric the distributed
-// top-k literature optimizes (messages and bytes per query).
+// messages in few rounds — sorted access in windows of window_rows rows
+// (kDrain with an owner-side threshold stop in TPUT phase 2), random access
+// in one lookup vector per list per BPA window of rows or TPUT phase 3 —
+// the metrics the distributed top-k literature optimizes (messages, bytes
+// and rounds per query). The requests of one round fan out concurrently:
+// virtual time charges each round its longest per-list lane, not the sum of
+// its RPCs.
 //
 // Only when a WHOLE replica group is dead does a list die. The BPA or TPUT
 // loop then returns Unavailable, and the coordinator runs the NRA loop on
@@ -134,7 +137,10 @@ struct DistStats {
   uint64_t replies_received = 0;  ///< incl. duplicate deliveries
   uint64_t bytes_sent = 0;
   uint64_t bytes_received = 0;  ///< incl. duplicate deliveries
-  uint64_t rounds = 0;          ///< dBPA rows, dTPUT phases, NRA window sweeps
+  /// Round trips: barrier phases that sent a message — per dBPA window of
+  /// rows a refill round and a lookup round, per dTPUT phase one round, per
+  /// degraded-NRA window sweep one round.
+  uint64_t rounds = 0;
   uint64_t retries = 0;         ///< re-attempts after a lost/failed exchange
   uint64_t hedges = 0;          ///< hedge requests issued
   uint64_t hedge_wins = 0;      ///< hedges whose reply beat the primary's
@@ -145,7 +151,9 @@ struct DistStats {
   uint64_t breaker_opens = 0;      ///< circuit-breaker open transitions
   uint64_t probes_sent = 0;        ///< half-open health probes issued
   uint32_t groups_lost = 0;        ///< lists whose whole replica group died
-  double virtual_ms = 0.0;  ///< total virtual time charged to the deadline
+  /// Virtual time charged to the deadline: the sum over rounds of each
+  /// round's longest lane (its slowest list's RPCs, retries and waits).
+  double virtual_ms = 0.0;
 };
 
 class Coordinator {
@@ -170,19 +178,23 @@ class Coordinator {
   /// the owners' catalogs: 0 lowered to the smallest advertised min score).
   Score score_floor() const { return floor_; }
 
-  /// Distributed BPA: the BPA loop over RemoteListIo — one round per row,
-  /// sorted windows plus one lookup batch per list for the row's newly seen
-  /// items, the paper's λ (best-position) stop rule. Any scorer. Fault-free
+  /// Distributed BPA: the BPA loop over RemoteListIo — two fan-out rounds
+  /// per window of rows: sorted windows, then one lookup batch per list for
+  /// every item the window's rows see first; the paper's λ (best-position)
+  /// stop rule runs row by row on the coordinator. Any scorer. Fault-free
   /// results are byte-identical to single-node BPA with seen-item
-  /// memoization; a lost list degrades to NRA over the survivors.
+  /// memoization (only lookups for rows past the stop, at most one window's
+  /// worth, are sent and never consumed); a lost list degrades to NRA over
+  /// the survivors.
   Result<TopKResult> ExecuteBpa(const TopKQuery& query);
 
   /// Distributed TPUT: the TPUT loop over RemoteListIo — the three-phase
   /// protocol (top-k prefixes; drain to τ1/m via kDrain messages whose
   /// threshold stop runs owner-side; batched random-access resolution of the
-  /// τ2 survivors), one round per phase. Summation scoring only. Fault-free
-  /// results are byte-identical to single-node TPUT; a lost list degrades to
-  /// NRA over the survivors.
+  /// τ2 survivors), one round per phase, its lists' requests fanned out
+  /// concurrently. Summation scoring only. Fault-free results are
+  /// byte-identical to single-node TPUT; a lost list degrades to NRA over
+  /// the survivors.
   Result<TopKResult> ExecuteTput(const TopKQuery& query);
 
   /// Wire/robustness counters of the last Execute call.

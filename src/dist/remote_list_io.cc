@@ -9,21 +9,22 @@
 
 namespace topk {
 
-void RemoteListIo::Buffers::Reset(size_t m, size_t n,
-                                  bool record_seen_scores) {
+void RemoteListIo::Buffers::Reset(size_t m, size_t n, bool bpa) {
   lists.resize(m);
   for (List& list : lists) {
     list.queued.clear();  // a run that ended early may have left some
     list.alive = true;
+    list.lane_ms = 0.0;
   }
   num_items = static_cast<Position>(n);
   RestartScans();
-  record_seen = record_seen_scores;
-  if (record_seen) {
+  record_seen = bpa;
+  if (bpa) {
     seen.resize(m);
     for (ScoreMemo& memo : seen) {
       memo.Reset(n + 1);
     }
+    requested.assign((n + 63) / 64, 0);
   }
   access = AccessStats{};
   error = Status::OK();
@@ -61,9 +62,26 @@ double RemoteListIo::SummationMargin(double score_floor) const {
       [this](size_t i) { return coordinator_->min_score_[i]; }, score_floor);
 }
 
-void RemoteListIo::BeginRound() { ++coordinator_->stats_.rounds; }
+Position RemoteListIo::BufferedThrough() const {
+  Position through = 0;  // a live list buffers at least position 1
+  for (const Buffers::List& list : buffers_->lists) {
+    if (list.alive && (through == 0 || list.window_end - 1 < through)) {
+      through = list.window_end - 1;
+    }
+  }
+  return through;
+}
+
+void RemoteListIo::BeginRound() {
+  round_open_ = true;
+  const double start_ms = coordinator_->stats_.virtual_ms;
+  for (Buffers::List& list : buffers_->lists) {
+    list.lane_ms = start_ms;
+  }
+}
 
 void RemoteListIo::IssueRandom() {
+  BeginRound();
   for (size_t j = 0; j < num_lists(); ++j) {
     Buffers::List& list = buffers_->lists[j];
     list.issued.swap(list.queued);
@@ -110,17 +128,26 @@ bool RemoteListIo::Refill(size_t list_index) {
 }
 
 bool RemoteListIo::Call(size_t list_index) {
-  if (sweep_open_) {
-    sweep_open_ = false;
-    ++coordinator_->stats_.rounds;
+  DistStats& stats = coordinator_->stats_;
+  if (round_open_) {
+    round_open_ = false;
+    ++stats.rounds;
   }
-  const uint32_t deaths = coordinator_->stats_.owner_deaths;
+  // The RPC runs on its list's lane: everything ListRpc charges to
+  // virtual_ms (latency, backoff, hedges, probes) and every breaker window
+  // it reads is the lane's time. The round then ends at its longest lane.
+  double& lane_ms = buffers_->lists[list_index].lane_ms;
+  const double round_end_ms = stats.virtual_ms;
+  stats.virtual_ms = lane_ms;
+  const uint32_t deaths = stats.owner_deaths;
   const Status status = coordinator_->ListRpc(
       list_index, coordinator_->request_, &coordinator_->reply_);
+  lane_ms = stats.virtual_ms;
+  stats.virtual_ms = std::max(round_end_ms, lane_ms);
   if (!status.ok() && !status.IsUnavailable() && buffers_->error.ok()) {
     buffers_->error = status;
   }
-  if (coordinator_->stats_.owner_deaths != deaths || !buffers_->error.ok()) {
+  if (stats.owner_deaths != deaths || !buffers_->error.ok()) {
     for (size_t i = 0; i < num_lists(); ++i) {
       buffers_->lists[i].alive =
           buffers_->error.ok() && coordinator_->ListAlive(i);

@@ -20,12 +20,21 @@
 //    loop consumes them: the loop queues the (list, item) pairs it is about
 //    to access (QueueRandom), IssueRandom sends one kRandomLookup per list
 //    in list order, and Random(j, item) pops list j's answers in the order
-//    they were queued.
-//  * BeginRound counts one coordinator round (DistStats::rounds): a row of
-//    dBPA, a phase of dTPUT. The degraded NRA opens each check interval
-//    with BeginSweep instead, which counts a round only once the interval
-//    sends a message — one window refill serves several intervals, so the
-//    count stays one per sweep of window requests.
+//    they were queued. dBPA queues a whole window of rows at once: every
+//    item the buffered rows see for the first time (RequestOnce dedupes),
+//    so one lookup round serves up to window_rows rows. Lookups the loop
+//    never pops — past its stop row — are sent but not counted as accesses.
+//
+// Virtual time runs on a lane clock. A round is the span between two
+// barriers: BeginRound (a dBPA window, a dTPUT phase, a degraded-NRA check
+// interval) and the start of IssueRandom, since lookups need every window
+// first. Within a round every RPC runs on its own list's lane, which starts
+// at the round's start time; its retries, backoff, hedges and half-open
+// probes stay on that lane, so breaker windows see the lane's time. The
+// coordinator's DistStats::virtual_ms always reads the round's start plus
+// its longest lane — the requests of one round go out concurrently.
+// DistStats::rounds counts the rounds that sent a message: the real round
+// trips.
 //
 // Death: a list dies when its whole replica group dies (ListRpc fails
 // Unavailable). It then reports dead through SortedAlive/RandomAlive, so the
@@ -74,13 +83,14 @@ class RemoteListIo {
       std::vector<ItemLookup> lookups;  ///< its answers
       size_t popped = 0;                ///< answers consumed so far
       bool alive = true;  ///< replica group alive, no protocol error
+      double lane_ms = 0.0;  ///< this list's lane clock in the round
     };
 
     /// Starts a query over `m` lists of `n` positions: empty windows,
-    /// cursors at position 1, no batches, zero counts. With
-    /// `record_seen_scores` (BPA) every served score is kept by position
-    /// for ScoreAtSeen, in epoch-stamped memos that reset in O(1).
-    void Reset(size_t m, size_t n, bool record_seen_scores);
+    /// cursors at position 1, no batches, zero counts. With `bpa` every
+    /// served score is kept by position for ScoreAtSeen, in epoch-stamped
+    /// memos that reset in O(1), and the requested set starts empty.
+    void Reset(size_t m, size_t n, bool bpa);
 
     /// Rewinds every sorted cursor to position 1 and drops the buffered
     /// windows, the horizon and the drain threshold: the degraded NRA
@@ -95,6 +105,7 @@ class RemoteListIo {
     Score drain_threshold = 0.0;
     bool record_seen = false;
     std::vector<ScoreMemo> seen;  ///< per list, keyed by position
+    std::vector<uint64_t> requested;  ///< dBPA: items looked up, a bitset
     AccessStats access;
     Status error;
   };
@@ -176,9 +187,9 @@ class RemoteListIo {
 
   // --- wire hooks (called by the loops only for remote policies) ---
 
+  /// A barrier: the next round starts when the longest lane of this one
+  /// ends. The round is counted on its first message, if any.
   void BeginRound();
-  /// Opens a round that is counted on its first message, if any.
-  void BeginSweep() { sweep_open_ = true; }
 
   /// Uncounted read of the buffered entry at `position` (the next one);
   /// requires a preceding SortedAlive(list_index) that returned true.
@@ -192,8 +203,23 @@ class RemoteListIo {
     buffers_->lists[list_index].queued.push_back(item);
   }
 
-  /// Sends every live list's queued lookups (one message per non-empty
-  /// batch, in list order) and makes the answers poppable.
+  /// True the first time `item` is requested this query: dBPA queues each
+  /// item's lookups once, however many buffered rows show it.
+  bool RequestOnce(ItemId item) {
+    uint64_t& word = buffers_->requested[item >> 6];
+    const uint64_t bit = uint64_t{1} << (item & 63);
+    const bool first = (word & bit) == 0;
+    word |= bit;
+    return first;
+  }
+
+  /// The last position every live list's window buffers; 0 when no list
+  /// is alive.
+  Position BufferedThrough() const;
+
+  /// A barrier, then one round that sends every live list's queued lookups
+  /// (one message per non-empty batch, in list order) and makes the answers
+  /// poppable.
   void IssueRandom();
 
   /// Sorted windows end at `horizon` (TPUT's phase-1 prefix depth).
@@ -216,16 +242,17 @@ class RemoteListIo {
   /// when the list died (or a protocol error was recorded).
   bool Refill(size_t list_index);
 
-  /// Routes one RPC through Coordinator::ListRpc; a non-Unavailable
-  /// failure is recorded in Buffers::error. Owners only die inside RPCs, so
-  /// this is where the lists' alive flags are refreshed — an RPC for one
-  /// list can kill the last replica of another list its owner serves.
+  /// Routes one RPC through Coordinator::ListRpc on the list's lane; a
+  /// non-Unavailable failure is recorded in Buffers::error. Owners only die
+  /// inside RPCs, so this is where the lists' alive flags are refreshed — an
+  /// RPC for one list can kill the last replica of another list its owner
+  /// serves.
   bool Call(size_t list_index);
 
   Coordinator* coordinator_;
   Buffers* buffers_;
   AccessStats run_;  // this run's accesses, not yet flushed
-  bool sweep_open_ = false;  // a BeginSweep round not yet counted
+  bool round_open_ = false;  // a round not yet counted (nothing sent yet)
 };
 
 }  // namespace topk

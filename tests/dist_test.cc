@@ -15,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <vector>
 
 #include "core/algorithms.h"
@@ -518,12 +520,14 @@ TEST(DistFaultTest, OwnerDeathDegradesToCertifiedAnswer) {
     InProcessTransport inner = InProcessTransport::PerListOwners(db);
     TransportFaultPlan plan;
     plan.kill_owner = 2;
-    plan.kill_after_messages = 6;
+    plan.kill_after_messages = 4;
     FaultInjectingTransport transport(&inner, plan);
     Coordinator coordinator(&transport, DistOptions{});
     ASSERT_TRUE(coordinator.Connect().ok());
-    // Connect's handshake consumed some of owner 2's message budget; the
-    // query's early windows exhaust the rest.
+    // Connect's handshake consumed one of owner 2's four messages; the
+    // query spends the rest mid-run (dBPA: its first window, first lookup
+    // batch and second window, so the second lookup round finds it dead;
+    // dTPUT: its phase-1 window and the first drains).
     const TopKResult result =
         (tput ? coordinator.ExecuteTput(query) : coordinator.ExecuteBpa(query))
             .ValueOrDie();
@@ -728,9 +732,9 @@ TEST(DistReplicaTest, MidQueryReplicaKillStaysExact) {
 }
 
 TEST(DistReplicaTest, CursorHandoffExactAtEveryKillPoint) {
-  // Sweep the death point across the query so the handoff lands in every
-  // phase — handshake, early windows, drains, random lookups. The survivor
-  // resumes the sorted cursor at the exact position every time.
+  // Sweep the death point across the query so the handoff lands on every
+  // request the primary serves — both windows and both lookup batches. The
+  // survivor resumes the sorted cursor at the exact position every time.
   const Database db = MakeUniformDatabase(400, 4, 9);
   SumScorer sum;
   const TopKQuery query{8, &sum};
@@ -740,7 +744,7 @@ TEST(DistReplicaTest, CursorHandoffExactAtEveryKillPoint) {
       MakeAlgorithm(AlgorithmKind::kBpa, memoized)->Execute(db, query)
           .ValueOrDie();
 
-  for (const uint64_t kill_after : {1u, 2u, 4u, 8u, 16u, 32u}) {
+  for (const uint64_t kill_after : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(kill_after);
     InProcessTransport inner = InProcessTransport::PerListOwners(db, 2);
     TransportFaultPlan plan;
@@ -772,7 +776,7 @@ TEST(DistReplicaTest, BreakerScheduleIsDeterministic) {
   plan.delay_ms = 2.0;
   plan.owner_death_rate = 0.5;
   plan.death_min_messages = 2;
-  plan.death_max_messages = 20;
+  plan.death_max_messages = 3;  // inside the query's few rounds per list
   plan.flap_revive_calls = 3;
 
   const auto run = [&](TopKResult* result, DistStats* stats) {
@@ -808,6 +812,9 @@ TEST(DistReplicaTest, BreakerScheduleIsDeterministic) {
   // The plan actually exercised the health machinery (half of eight owners
   // flap at this seed).
   EXPECT_GT(first.breaker_opens, 0u);
+  // The deadline also counts wall time; far from it, no sanitizer or host
+  // slowdown can move the point where the query stops.
+  EXPECT_LT(first.virtual_ms, 0.5 * 400.0);
 }
 
 TEST(DistReplicaTest, WholeGroupDeathDegradesToCertifiedAnswer) {
@@ -823,7 +830,10 @@ TEST(DistReplicaTest, WholeGroupDeathDegradesToCertifiedAnswer) {
     TransportFaultPlan plan;
     plan.kill_owners = {InProcessTransport::OwnerIndex(4, 1, 0),
                         InProcessTransport::OwnerIndex(4, 1, 1)};
-    plan.kill_after_messages = 4;
+    // Each replica serves the handshake and one query request: replica 0
+    // the first window, its sibling the next request after the failover;
+    // the request after that finds the whole group dead.
+    plan.kill_after_messages = 2;
     FaultInjectingTransport transport(&inner, plan);
     DistOptions options;
     options.replication_factor = 2;
@@ -869,7 +879,7 @@ TEST(DistReplicaTest, ChaosSoakExactOrCertifiedUnderDeadline) {
       plan.delay_ms = 2.0;
       plan.owner_death_rate = 0.15;
       plan.death_min_messages = 2;
-      plan.death_max_messages = 40;
+      plan.death_max_messages = 6;  // an owner serves ~5 per query
       plan.flap_revive_calls = 2;
       FaultInjectingTransport transport(&inner, plan);
       DistOptions options;
@@ -1062,8 +1072,8 @@ TEST(DistWireTimelineTest, FaultFreeTotalsArePinned) {
   const Database db = MakeUniformDatabase(2000, 4, 77);
   SumScorer sum;
   const TopKQuery query{500, &sum};
-  const WireTotals bpa{2719, 2719, 64384, 146080, 798, 135.94999999999666};
-  const WireTotals tput{83, 83, 6124, 73568, 3, 4.1499999999999932};
+  const WireTotals bpa{104, 104, 22868, 105212, 26, 1.3000000000000005};
+  const WireTotals tput{83, 83, 6124, 73568, 3, 1.0500000000000003};
   for (const uint32_t replicas : {1u, 2u}) {
     SCOPED_TRACE(replicas);
     InProcessTransport transport =
@@ -1100,17 +1110,171 @@ TEST(DistWireTimelineTest, SeededDelayDropRunIsPinned) {
             .ValueOrDie();
     EXPECT_EQ(result.completion, Completion::kExact);
     const DistStats& stats = coordinator.stats();
-    const uint64_t want_retries = tput ? 0 : 2;
-    const uint64_t want_hedges = tput ? 2 : 55;
-    const uint64_t want_hedge_wins = tput ? 2 : 53;
-    const uint64_t want_timeouts = tput ? 0 : 2;
+    const uint64_t want_retries = 0;
+    const uint64_t want_hedges = tput ? 1 : 3;
+    const uint64_t want_hedge_wins = tput ? 0 : 3;
+    const uint64_t want_timeouts = 0;
     const double want_virtual_ms =
-        tput ? 6.1499999999999897 : 262.52615235393665;
+        tput ? 6.0499999999999963 : 4.299999999999998;
     EXPECT_EQ(stats.retries, want_retries);
     EXPECT_EQ(stats.hedges, want_hedges);
     EXPECT_EQ(stats.hedge_wins, want_hedge_wins);
     EXPECT_EQ(stats.timeouts, want_timeouts);
     EXPECT_DOUBLE_EQ(stats.virtual_ms, want_virtual_ms);
+  }
+}
+
+// ---- Lane clock ----
+
+// A transport decorator that slows every exchange by its owner's own fixed
+// latency and logs the query's exchanges (the handshake's are left out), so
+// a test can rebuild the virtual timeline the coordinator should charge.
+class LaneTransport : public Transport {
+ public:
+  struct Exchange {
+    MessageType type;
+    uint32_t list_index;
+    double latency_ms;
+  };
+
+  LaneTransport(Transport* inner, double ms_per_owner)
+      : inner_(inner), ms_per_owner_(ms_per_owner) {}
+
+  size_t num_owners() const override { return inner_->num_owners(); }
+
+  Status Call(size_t owner, const Request& request, Reply* reply,
+              CallResult* result) override {
+    const Status status = inner_->Call(owner, request, reply, result);
+    result->latency_ms += ms_per_owner_ * static_cast<double>(owner + 1);
+    if (request.type != MessageType::kHello) {
+      log_.push_back({request.type, request.list_index, result->latency_ms});
+    }
+    if (request.type == MessageType::kRandomLookup) {
+      for (const ItemId item : request.items) {
+        lookups_.insert(uint64_t{request.list_index} << 32 | item);
+      }
+    }
+    return status;
+  }
+
+  const std::vector<Exchange>& log() const { return log_; }
+  /// Distinct (list, item) pairs sent in lookups: what the coordinator
+  /// asked for, with hedged and retried copies counted once.
+  size_t distinct_lookups() const { return lookups_.size(); }
+  void Clear() {
+    log_.clear();
+    lookups_.clear();
+  }
+
+ private:
+  Transport* inner_;
+  double ms_per_owner_;
+  std::vector<Exchange> log_;
+  std::set<uint64_t> lookups_;
+};
+
+TEST(DistLaneClockTest, VirtualTimeIsTheLongestLanePerRound) {
+  // Fault-free, the coordinator's rounds are the runs of same-type requests
+  // (dBPA alternates window and lookup rounds, dTPUT sends windows, drains,
+  // lookups). Within a round each list's requests run on the list's lane,
+  // so virtual time is the sum over rounds of the longest lane — not the
+  // sum of every RPC — on per-list owners and on owners holding two lists.
+  const Database db = MakeUniformDatabase(2000, 4, 77);
+  SumScorer sum;
+  const TopKQuery query{20, &sum};
+  AlgorithmOptions memoized;
+  memoized.memoize_seen_items = true;
+  const TopKResult bpa_reference =
+      MakeAlgorithm(AlgorithmKind::kBpa, memoized)->Execute(db, query)
+          .ValueOrDie();
+  const TopKResult tput_reference =
+      MakeAlgorithm(AlgorithmKind::kTput)->Execute(db, query).ValueOrDie();
+
+  for (const bool packed : {false, true}) {
+    SCOPED_TRACE(packed ? "two lists per owner" : "one list per owner");
+    InProcessTransport inner;
+    if (packed) {
+      inner.AddOwner(ListOwner(&db, {0, 1}));
+      inner.AddOwner(ListOwner(&db, {2, 3}));
+    } else {
+      inner = InProcessTransport::PerListOwners(db);
+    }
+    LaneTransport wire(&inner, /*ms_per_owner=*/0.1);
+    Coordinator coordinator(&wire, DistOptions{});
+    ASSERT_TRUE(coordinator.Connect().ok());
+    for (const bool tput : {false, true}) {
+      SCOPED_TRACE(tput ? "dTPUT" : "dBPA");
+      wire.Clear();
+      const TopKResult result =
+          (tput ? coordinator.ExecuteTput(query)
+                : coordinator.ExecuteBpa(query))
+              .ValueOrDie();
+      ExpectExactParity(result, tput ? tput_reference : bpa_reference);
+
+      const std::vector<LaneTransport::Exchange>& log = wire.log();
+      double longest_lanes_ms = 0.0;
+      double every_rpc_ms = 0.0;
+      uint64_t rounds = 0;
+      for (size_t next = 0; next < log.size(); ++rounds) {
+        std::vector<double> lanes(db.num_lists(), 0.0);
+        const MessageType type = log[next].type;
+        for (; next < log.size() && log[next].type == type; ++next) {
+          lanes[log[next].list_index] += log[next].latency_ms;
+          every_rpc_ms += log[next].latency_ms;
+        }
+        longest_lanes_ms += *std::max_element(lanes.begin(), lanes.end());
+      }
+      const DistStats& stats = coordinator.stats();
+      EXPECT_EQ(stats.rounds, rounds);
+      EXPECT_EQ(stats.messages_sent, log.size());
+      EXPECT_NEAR(stats.virtual_ms, longest_lanes_ms, 1e-9);
+      EXPECT_LT(stats.virtual_ms, every_rpc_ms);
+    }
+  }
+}
+
+TEST(DistLaneClockTest, DelayOnlyBpaIsExactWithinTheSla) {
+  // The bar of the degradation grid's delay-only dBPA cells: uniform n=5000
+  // m=5 k=20, 20% of messages delayed 5 ms, a 250 virtual-ms deadline. With
+  // fan-out rounds every query answers exact at R=1 and R=2. Lookups the
+  // loop never consumed overshoot its stop by at most one window's rows.
+  const size_t m = 5;
+  const Database db = MakeUniformDatabase(5000, m, 11);
+  SumScorer sum;
+  const TopKQuery query{20, &sum};
+  AlgorithmOptions memoized;
+  memoized.memoize_seen_items = true;
+  const TopKResult reference =
+      MakeAlgorithm(AlgorithmKind::kBpa, memoized)->Execute(db, query)
+          .ValueOrDie();
+  const DistOptions defaults;
+  const uint64_t max_overshoot = (defaults.window_rows - 1) * m * (m - 1);
+
+  for (const size_t replicas : {size_t{1}, size_t{2}}) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "replicas " << replicas << " seed " << seed);
+      InProcessTransport inner =
+          InProcessTransport::PerListOwners(db, replicas);
+      TransportFaultPlan plan;
+      plan.seed = seed;
+      plan.delay_rate = 0.2;
+      plan.delay_ms = 5.0;
+      FaultInjectingTransport faults(&inner, plan);
+      LaneTransport wire(&faults, /*ms_per_owner=*/0.0);
+      DistOptions options;
+      options.replication_factor = static_cast<uint32_t>(replicas);
+      options.governor.deadline_ms = 250.0;
+      Coordinator coordinator(&wire, options);
+      ASSERT_TRUE(coordinator.Connect().ok());
+      const TopKResult result = coordinator.ExecuteBpa(query).ValueOrDie();
+
+      EXPECT_EQ(result.completion, Completion::kExact);
+      ExpectExactParity(result, reference);
+      ASSERT_GE(wire.distinct_lookups(), result.stats.random_accesses);
+      EXPECT_LE(wire.distinct_lookups() - result.stats.random_accesses,
+                max_overshoot);
+    }
   }
 }
 
