@@ -10,16 +10,9 @@ namespace topk {
 Status BpaAlgorithm::Run(const Database& db, const TopKQuery& query,
                          ExecutionContext* context, TopKResult* result) const {
   context->PrepareTrackers(options().tracker, db.num_items(), db.num_lists());
-  if (options().audit_accesses) {
-    return DispatchBpa(options(), query, context,
-                       EngineIo(&db, &context->engine()), result);
-  }
-  if (context->faults().armed()) {
-    return DispatchBpa(options(), query, context,
-                       FaultIo(&db, &context->faults()), result);
-  }
-  return DispatchBpa(options(), query, context,
-                     RawListIo(&db, &context->engine()), result);
+  return RunWithLocalIo(db, options().audit_accesses, context, [&](auto io) {
+    return DispatchBpa(options(), query, context, io, result);
+  });
 }
 
 }  // namespace topk

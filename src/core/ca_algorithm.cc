@@ -274,16 +274,9 @@ Status CaAlgorithm::ValidateFor(const Database& db,
 
 Status CaAlgorithm::Run(const Database& db, const TopKQuery& query,
                         ExecutionContext* context, TopKResult* result) const {
-  if (options().audit_accesses) {
-    return DispatchCa(options(), db, query, context,
-                      EngineIo(&db, &context->engine()), result);
-  }
-  if (context->faults().armed()) {
-    return DispatchCa(options(), db, query, context,
-                      FaultIo(&db, &context->faults()), result);
-  }
-  return DispatchCa(options(), db, query, context,
-                    RawListIo(&db, &context->engine()), result);
+  return RunWithLocalIo(db, options().audit_accesses, context, [&](auto io) {
+    return DispatchCa(options(), db, query, context, io, result);
+  });
 }
 
 }  // namespace topk

@@ -47,6 +47,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/status.h"
 #include "core/candidate_pool.h"
 #include "lists/database.h"
@@ -55,18 +56,23 @@
 
 namespace topk {
 
+/// The list cap of ValidatePoolQuery below, without a Database.
+inline Status ValidatePoolLists(const char* algorithm, size_t m) {
+  if (m > CandidatePool::kMaxLists) {
+    return Status::NotImplemented(
+        algorithm, " candidate bookkeeping keeps per-candidate seen masks in "
+        "a single 64-bit word, capping queries at ", CandidatePool::kMaxLists,
+        " lists; got ", m, " (multi-word masks are not implemented)");
+  }
+  return Status::OK();
+}
+
 /// Shared validation of the pool-backed algorithms (NRA/CA/TPUT): the pool's
 /// seen mask is one 64-bit word, capping m at CandidatePool::kMaxLists, and
 /// every local score must respect the floor the lower bounds are built from.
 inline Status ValidatePoolQuery(const char* algorithm, const Database& db,
                                 double score_floor) {
-  if (db.num_lists() > CandidatePool::kMaxLists) {
-    return Status::NotImplemented(
-        algorithm, " candidate bookkeeping keeps per-candidate seen masks in "
-        "a single 64-bit word, capping queries at ", CandidatePool::kMaxLists,
-        " lists; got ", db.num_lists(),
-        " (multi-word masks are not implemented)");
-  }
+  TOPK_RETURN_NOT_OK(ValidatePoolLists(algorithm, db.num_lists()));
   for (size_t i = 0; i < db.num_lists(); ++i) {
     if (db.list(i).MinScore() < score_floor) {
       return Status::Invalid(

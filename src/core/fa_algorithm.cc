@@ -12,9 +12,9 @@
 namespace topk {
 namespace {
 
-// Templated on the access policy: EngineIo is the default (FA leans on the
-// engine's sorted cursors), FaultIo when a fault plan is armed. The loops'
-// aliveness guards are `if constexpr`-eliminated for the fault-free policy.
+// Templated on the access policy. Sorted accesses pass their depth and every
+// exit flushes, so each policy counts alike; the aliveness guards are
+// `if constexpr`-eliminated for the fault-free policies.
 template <typename IoT>
 Status RunFaLoop(const AlgorithmOptions& /*options*/, const Database& db,
                  const TopKQuery& query, ExecutionContext* context, IoT io,
@@ -205,12 +205,9 @@ Status RunFaLoop(const AlgorithmOptions& /*options*/, const Database& db,
 
 Status FaAlgorithm::Run(const Database& db, const TopKQuery& query,
                         ExecutionContext* context, TopKResult* result) const {
-  if (context->faults().armed()) {
-    return RunFaLoop(options(), db, query, context,
-                     FaultIo(&db, &context->faults()), result);
-  }
-  return RunFaLoop(options(), db, query, context, EngineIo(&db, &context->engine()),
-                   result);
+  return RunWithLocalIo(db, options().audit_accesses, context, [&](auto io) {
+    return RunFaLoop(options(), db, query, context, io, result);
+  });
 }
 
 }  // namespace topk

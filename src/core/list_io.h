@@ -22,6 +22,9 @@
 //  * RemoteListIo (dist/remote_list_io.h) serves the same primitives from
 //    ListOwner shards through the distributed Coordinator's RPC layer.
 //
+// RunWithLocalIo (below) picks the local policy for every single-node
+// algorithm.
+//
 // The three local policies (kLocal = true) share LocalLists: list metadata
 // read straight off the Database, plus the database itself for the loops'
 // uncounted cache prefetches. The remote policy has no database: it serves
@@ -46,7 +49,9 @@
 #ifndef TOPK_CORE_LIST_IO_H_
 #define TOPK_CORE_LIST_IO_H_
 
+#include "common/status.h"
 #include "core/candidate_bounds.h"
+#include "core/execution_context.h"
 #include "lists/access_engine.h"
 #include "lists/database.h"
 #include "lists/fault_injection.h"
@@ -241,6 +246,20 @@ class FaultIo : public LocalLists {
  private:
   FaultInjectingAccessEngine* faults_;
 };
+
+/// Runs the generic lambda `run` over EngineIo when audited, FaultIo when
+/// the context's fault plan is armed, and RawListIo otherwise.
+template <typename RunFn>
+Status RunWithLocalIo(const Database& db, bool audit,
+                      ExecutionContext* context, RunFn&& run) {
+  if (audit) {
+    return run(EngineIo(&db, &context->engine()));
+  }
+  if (context->faults().armed()) {
+    return run(FaultIo(&db, &context->faults()));
+  }
+  return run(RawListIo(&db, &context->engine()));
+}
 
 }  // namespace topk
 

@@ -16,16 +16,9 @@ Status NraAlgorithm::ValidateFor(const Database& db,
 
 Status NraAlgorithm::Run(const Database& db, const TopKQuery& query,
                          ExecutionContext* context, TopKResult* result) const {
-  if (options().audit_accesses) {
-    return DispatchNra(options(), query, context,
-                       EngineIo(&db, &context->engine()), result);
-  }
-  if (context->faults().armed()) {
-    return DispatchNra(options(), query, context,
-                       FaultIo(&db, &context->faults()), result);
-  }
-  return DispatchNra(options(), query, context,
-                     RawListIo(&db, &context->engine()), result);
+  return RunWithLocalIo(db, options().audit_accesses, context, [&](auto io) {
+    return DispatchNra(options(), query, context, io, result);
+  });
 }
 
 }  // namespace topk

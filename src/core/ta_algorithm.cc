@@ -158,16 +158,9 @@ Status DispatchTa(const AlgorithmOptions& options, const Database& db,
 
 Status TaAlgorithm::Run(const Database& db, const TopKQuery& query,
                         ExecutionContext* context, TopKResult* result) const {
-  if (options().audit_accesses) {
-    return DispatchTa(options(), db, query, context,
-                      EngineIo(&db, &context->engine()), result);
-  }
-  if (context->faults().armed()) {
-    return DispatchTa(options(), db, query, context,
-                      FaultIo(&db, &context->faults()), result);
-  }
-  return DispatchTa(options(), db, query, context,
-                    RawListIo(&db, &context->engine()), result);
+  return RunWithLocalIo(db, options().audit_accesses, context, [&](auto io) {
+    return DispatchTa(options(), db, query, context, io, result);
+  });
 }
 
 }  // namespace topk

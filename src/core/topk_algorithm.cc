@@ -36,27 +36,35 @@ Result<TopKResult> TopKAlgorithm::Execute(const Database& db,
   return result;
 }
 
-Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
-                                  ExecutionContext* context,
-                                  TopKResult* result) const {
+Status ValidateTopKQuery(const char* engine, const TopKQuery& query,
+                         size_t n) {
   if (query.scorer == nullptr) {
-    return Status::Invalid(name(),
+    return Status::Invalid(engine,
                            ": query has no scoring function (a Scorer is "
                            "required); got scorer = nullptr");
   }
   if (query.k == 0) {
-    return Status::Invalid(name(), ": k must be >= 1; got k = 0");
+    return Status::Invalid(engine, ": k must be >= 1; got k = 0");
   }
-  if (query.k > db.num_items()) {
-    return Status::Invalid(name(), ": k = ", query.k,
-                           " exceeds database size n = ", db.num_items());
+  if (query.k > n) {
+    return Status::Invalid(engine, ": k = ", query.k,
+                           " exceeds database size n = ", n);
   }
-  TOPK_RETURN_NOT_OK(options_.governor.Validate(name().c_str()));
-  TOPK_RETURN_NOT_OK(options_.fault_plan.Validate(name().c_str(),
+  return Status::OK();
+}
+
+Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
+                                  ExecutionContext* context,
+                                  TopKResult* result) const {
+  const std::string algorithm = name();
+  TOPK_RETURN_NOT_OK(
+      ValidateTopKQuery(algorithm.c_str(), query, db.num_items()));
+  TOPK_RETURN_NOT_OK(options_.governor.Validate(algorithm.c_str()));
+  TOPK_RETURN_NOT_OK(options_.fault_plan.Validate(algorithm.c_str(),
                                                   db.num_lists()));
   if (options_.fault_plan.enabled() && options_.audit_accesses) {
     return Status::Invalid(
-        name(),
+        algorithm,
         ": fault injection (fault_plan) cannot be combined with "
         "audit_accesses; the audit trail assumes the faithful engine path");
   }
@@ -94,10 +102,6 @@ Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
 
   const AccessEngine& engine = context->engine();
   result->stats = engine.stats();
-  const CostModel model =
-      options_.cost_model.value_or(CostModel::PaperDefault(db.num_items()));
-  result->execution_cost = model.ExecutionCost(result->stats);
-
   if (options_.audit_accesses) {
     result->max_touches_per_list.resize(db.num_lists());
     for (size_t i = 0; i < db.num_lists(); ++i) {
@@ -109,14 +113,23 @@ Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
     result->dead_lists = faults.dead_lists;
     result->fault_retries = faults.transient_faults;
   }
+  return FinishTopKResult(
+      algorithm.c_str(), query, options_.governor,
+      options_.cost_model.value_or(CostModel::PaperDefault(db.num_items())),
+      result);
+}
 
+Status FinishTopKResult(const char* engine, const TopKQuery& query,
+                        const GovernorLimits& governor,
+                        const CostModel& cost_model, TopKResult* result) {
+  result->execution_cost = cost_model.ExecutionCost(result->stats);
   if (result->completion == Completion::kExact) {
     if (result->items.size() != query.k) {
-      return Status::Internal(name(), " produced ", result->items.size(),
+      return Status::Internal(engine, " produced ", result->items.size(),
                               " items for k = ", query.k);
     }
   } else if (result->items.size() > query.k) {
-    return Status::Internal(name(), " produced ", result->items.size(),
+    return Status::Internal(engine, " produced ", result->items.size(),
                             " items for k = ", query.k,
                             " (anytime results must not exceed k)");
   }
@@ -134,18 +147,18 @@ Status TopKAlgorithm::ExecuteInto(const Database& db, const TopKQuery& query,
     result->kth_lower_bound = kth;
     result->unreturned_upper_bound = kth;
     result->theta = 1.0;
-  } else if (options_.governor.strict) {
+  } else if (governor.strict) {
     // StrictMode: the caller wants exact answers only — surface the
     // degradation as an error instead of an anytime result.
     if (result->completion == Completion::kListFailure) {
       return Status::Unavailable(
-          name(), ": ", result->dead_lists,
+          engine, ": ", result->dead_lists,
           " list(s) died permanently; StrictMode rejects the degraded ",
           "anytime answer (", result->items.size(), " of ", query.k,
           " items, theta = ", result->theta, ")");
     }
     return Status::ResourceExhausted(
-        name(), ": stopped by ", ToString(result->completion), " after ",
+        engine, ": stopped by ", ToString(result->completion), " after ",
         result->stats.TotalAccesses(),
         " accesses; StrictMode rejects the anytime answer (",
         result->items.size(), " of ", query.k,

@@ -91,6 +91,17 @@ struct AlgorithmOptions {
   FaultPlan fault_plan;
 };
 
+/// The start of every query on both tiers (TopKAlgorithm, Coordinator): a
+/// scorer is set and 1 <= k <= n. Messages name `engine`.
+Status ValidateTopKQuery(const char* engine, const TopKQuery& query, size_t n);
+
+/// The end of every query on both tiers, once `result` holds the run's items,
+/// certificate, stats and dead lists: answer-size check, (score desc, id
+/// asc) sort, exact-certificate collapse, cost model and StrictMode.
+Status FinishTopKResult(const char* engine, const TopKQuery& query,
+                        const GovernorLimits& governor,
+                        const CostModel& cost_model, TopKResult* result);
+
 /// Base class: validates the query, times the run, applies the cost model.
 /// Concrete algorithms implement Run().
 ///

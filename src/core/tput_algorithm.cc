@@ -2,6 +2,7 @@
 
 #include "core/tput_algorithm.h"
 
+#include "common/macros.h"
 #include "core/candidate_bounds.h"
 #include "core/list_io.h"
 #include "core/tput_loop.h"
@@ -10,27 +11,16 @@ namespace topk {
 
 Status TputAlgorithm::ValidateFor(const Database& db,
                                   const TopKQuery& query) const {
-  if (query.scorer->name() != "sum") {
-    return Status::NotImplemented(
-        "TPUT thresholding (τ1/m) is defined for summation scoring; got '",
-        query.scorer->name(), "'");
-  }
+  TOPK_RETURN_NOT_OK(ValidateTputScorer("TPUT", query));
   return ValidatePoolQuery("TPUT", db, options().score_floor);
 }
 
 Status TputAlgorithm::Run(const Database& db, const TopKQuery& query,
                           ExecutionContext* context,
                           TopKResult* result) const {
-  if (options().audit_accesses) {
-    return RunTputLoop(options(), query, context,
-                       EngineIo(&db, &context->engine()), result);
-  }
-  if (context->faults().armed()) {
-    return RunTputLoop(options(), query, context,
-                       FaultIo(&db, &context->faults()), result);
-  }
-  return RunTputLoop(options(), query, context,
-                     RawListIo(&db, &context->engine()), result);
+  return RunWithLocalIo(db, options().audit_accesses, context, [&](auto io) {
+    return RunTputLoop(options(), query, context, io, result);
+  });
 }
 
 }  // namespace topk

@@ -22,6 +22,16 @@
 
 namespace topk {
 
+/// TPUT (either tier) is summation-only; requires a set scorer.
+inline Status ValidateTputScorer(const char* engine, const TopKQuery& query) {
+  if (query.scorer->name() != "sum") {
+    return Status::NotImplemented(
+        engine, " thresholding (τ1/m) is defined for summation scoring; got '",
+        query.scorer->name(), "'");
+  }
+  return Status::OK();
+}
+
 // Templated on the access policy (TPUT is summation-only, so there is no
 // scorer dispatch): the default raw-list configuration inlines all three
 // phases' access loops over the pool's flat rows. Phase 3's τ2 filter is

@@ -3,15 +3,16 @@
 #include "dist/coordinator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <utility>
 
 #include "common/macros.h"
 #include "common/rng.h"
+#include "common/timer.h"
 #include "core/bpa_loop.h"
-#include "core/candidate_pool.h"
+#include "core/candidate_bounds.h"
 #include "core/nra_loop.h"
+#include "core/topk_algorithm.h"
 #include "core/tput_loop.h"
 
 namespace topk {
@@ -25,12 +26,6 @@ constexpr uint64_t kBackoffSalt = 0xc6a4a7935bd1e995ull;
 double JitterDraw(uint64_t seed, uint64_t counter) {
   const uint64_t h = Mix64(seed ^ Mix64(counter + kBackoffSalt));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-double NowMs(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - since)
-      .count();
 }
 
 }  // namespace
@@ -113,26 +108,14 @@ Coordinator::Coordinator(Transport* transport, const DistOptions& options)
     : transport_(transport), options_(options) {}
 
 Status Coordinator::Connect() {
+  connected_ = false;
   const size_t owners = transport_->num_owners();
-  if (owners == 0) {
-    return Status::Invalid("Coordinator: transport has no owners");
-  }
-  if (options_.replication_factor < 1) {
-    return Status::Invalid(
-        "Coordinator: dist replication_factor must be >= 1 (1 means "
-        "unreplicated); got replication_factor = ",
-        options_.replication_factor);
-  }
-  owner_alive_.assign(owners, 1);
-  latency_ring_.assign(owners * kLatencyRing, 0.0);
-  latency_count_.assign(owners, 0);
-  health_.assign(owners, ReplicaHealth{});
-  health_counter_ = 0;
+  TOPK_RETURN_NOT_OK(options_.Validate("Coordinator", owners));
   // Empty until the claims are grouped below, so a handshake-time owner
   // death cannot tally a group loss against a half-built catalog.
+  replicas_of_.clear();
   lists_of_.assign(owners, {});
-  stats_ = DistStats{};
-  backoff_counter_ = 0;
+  ResetQueryState();
 
   std::vector<std::vector<size_t>> claims;  // list -> claiming owners, asc
   std::vector<Score> max_score;
@@ -201,11 +184,6 @@ Status Coordinator::Connect() {
       lists_of_[owner].push_back(i);
     }
   }
-  primary_of_.resize(replicas_of_.size());
-  for (size_t i = 0; i < replicas_of_.size(); ++i) {
-    primary_of_[i] = replicas_of_[i][0];
-  }
-  group_lost_counted_.assign(replicas_of_.size(), 0);
   max_score_ = std::move(max_score);
   min_score_ = std::move(min_score);
   // DeriveScoreFloor over the catalog: the paper's model floor (0) lowered to
@@ -215,23 +193,6 @@ Status Coordinator::Connect() {
     floor_ = std::min(floor_, s);
   }
   connected_ = true;
-  return Status::OK();
-}
-
-Status Coordinator::ValidateQuery(const char* algorithm,
-                                  const TopKQuery& query) const {
-  if (!connected_) {
-    return Status::Invalid(algorithm,
-                           ": Coordinator::Connect() must succeed before "
-                           "queries execute");
-  }
-  if (query.scorer == nullptr) {
-    return Status::Invalid(algorithm, ": query has no scorer");
-  }
-  if (query.k < 1 || query.k > n_) {
-    return Status::Invalid(algorithm, ": k must be in [1, ", n_, "]; got k = ",
-                           query.k);
-  }
   return Status::OK();
 }
 
@@ -571,35 +532,16 @@ Status Coordinator::ListRpc(size_t list, const Request& request, Reply* reply) {
 // --- query execution ---
 
 Result<TopKResult> Coordinator::ExecuteBpa(const TopKQuery& query) {
-  TOPK_RETURN_NOT_OK(
-      options_.Validate("DistBPA", transport_->num_owners()));
-  TOPK_RETURN_NOT_OK(ValidateQuery("DistBPA", query));
-  return Execute(query, /*bpa=*/true);
+  return Execute("DistBPA", query, /*bpa=*/true);
 }
 
 Result<TopKResult> Coordinator::ExecuteTput(const TopKQuery& query) {
-  TOPK_RETURN_NOT_OK(
-      options_.Validate("DistTPUT", transport_->num_owners()));
-  TOPK_RETURN_NOT_OK(ValidateQuery("DistTPUT", query));
-  if (query.scorer->name() != "sum") {
-    return Status::NotImplemented(
-        "DistTPUT thresholding (τ1/m) is defined for summation scoring; got "
-        "'",
-        query.scorer->name(), "'");
-  }
-  if (num_lists() > CandidatePool::kMaxLists) {
-    return Status::NotImplemented(
-        "DistTPUT candidate bookkeeping keeps per-candidate seen masks in a "
-        "single 64-bit word, capping queries at ",
-        CandidatePool::kMaxLists, " lists; got ", num_lists());
-  }
-  return Execute(query, /*bpa=*/false);
+  return Execute("DistTPUT", query, /*bpa=*/false);
 }
 
-Result<TopKResult> Coordinator::Execute(const TopKQuery& query, bool bpa) {
-  const auto start = std::chrono::steady_clock::now();
-  const size_t m = num_lists();
+void Coordinator::ResetQueryState() {
   const size_t owners = transport_->num_owners();
+  const size_t m = replicas_of_.size();
   stats_ = DistStats{};
   backoff_counter_ = 0;
   // Owners start every query alive: a query's death discoveries are its own
@@ -613,9 +555,27 @@ Result<TopKResult> Coordinator::Execute(const TopKQuery& query, bool bpa) {
   health_.assign(owners, ReplicaHealth{});
   health_counter_ = 0;
   group_lost_counted_.assign(m, 0);
+  primary_of_.resize(m);
   for (size_t i = 0; i < m; ++i) {
     primary_of_[i] = replicas_of_[i][0];
   }
+}
+
+Result<TopKResult> Coordinator::Execute(const char* engine,
+                                        const TopKQuery& query, bool bpa) {
+  if (!connected_) {
+    return Status::Invalid(engine,
+                           ": Coordinator::Connect() must succeed before "
+                           "queries execute");
+  }
+  const size_t m = num_lists();
+  TOPK_RETURN_NOT_OK(ValidateTopKQuery(engine, query, n_));
+  if (!bpa) {
+    TOPK_RETURN_NOT_OK(ValidateTputScorer(engine, query));
+    TOPK_RETURN_NOT_OK(ValidatePoolLists(engine, m));
+  }
+  const Timer timer;
+  ResetQueryState();
   context_.PrepareScratch(m, query.k);
   context_.governor().Arm(options_.governor);
   remote_.Reset(m, n_, bpa);
@@ -634,18 +594,13 @@ Result<TopKResult> Coordinator::Execute(const TopKQuery& query, bool bpa) {
   } else {
     status = RunTputLoop(options, query, &context_, io, &result);
   }
-  if (status.IsUnavailable() && remote_.error.ok()) {
+  if (status.IsUnavailable() && remote_.error.ok() &&
+      ValidatePoolLists(engine, m).ok()) {
     // A whole replica group died. Fail over to NRA on the same policy, the
     // single-node failover discipline: dead lists stay dead (bounded at
     // their advertised maximum), survivors re-scan from position 1, spent
     // accesses and virtual time carry over and the governor keeps running
     // down the same deadline.
-    if (m > CandidatePool::kMaxLists) {
-      return Status::Unavailable(
-          "Coordinator: degraded NRA needs candidate-pool bookkeeping, which "
-          "caps queries at ",
-          CandidatePool::kMaxLists, " lists; got ", m);
-    }
     remote_.RestartScans();
     result.Clear();
     status = DispatchNra(options, query, &context_, io, &result);
@@ -654,10 +609,12 @@ Result<TopKResult> Coordinator::Execute(const TopKQuery& query, bool bpa) {
   // A non-Unavailable RPC failure is a protocol bug, not a fault.
   TOPK_RETURN_NOT_OK(remote_.error);
   TOPK_RETURN_NOT_OK(status);
+  result.elapsed_ms = timer.ElapsedMillis();
   result.stats = io.stats();
   result.fault_retries = stats_.retries;
   result.dead_lists = io.DeadLists();
-  result.elapsed_ms = NowMs(start);
+  TOPK_RETURN_NOT_OK(FinishTopKResult(engine, query, options_.governor,
+                                      CostModel::PaperDefault(n_), &result));
   return result;
 }
 

@@ -44,6 +44,11 @@
 // position 1 — returning a θ-certified anytime answer tagged
 // Completion::kListFailure. A dying cluster still answers inside the SLA.
 //
+// A query starts and ends with the single-node code (ValidateTopKQuery and
+// FinishTopKResult, core/topk_algorithm.h), so StrictMode, the exact
+// certificate and execution_cost hold as on a single node. The options are
+// validated once, by Connect.
+//
 // Determinism: fault-free distributed BPA/TPUT return byte-identical
 // items/scores/stop depths/access counts to the single-node engine (the
 // same loops; dBPA is memoized BPA's twin), and a faulted run replays
@@ -161,14 +166,14 @@ class Coordinator {
   /// Binds to `transport` (not owned; must outlive the coordinator).
   Coordinator(Transport* transport, const DistOptions& options);
 
-  /// The catalog handshake: one kHello per owner. Fails unless every list
-  /// index 0..m-1 is claimed by exactly replication_factor owners (its
-  /// replica group, ordered by owner index), the replicas of each group
-  /// advertise identical catalogs (same max/min scores — mirrors of the same
-  /// immutable list), and all lists agree on n. Must succeed before the
-  /// Execute calls. The handshake's messages are connection setup: each
-  /// Execute call resets DistStats, so they appear in stats() only until the
-  /// first query runs.
+  /// Validates the (immutable) options, then runs the catalog handshake: one
+  /// kHello per owner. Fails unless every list index 0..m-1 is claimed by
+  /// exactly replication_factor owners (its replica group, ordered by owner
+  /// index), the replicas of each group advertise identical catalogs (same
+  /// max/min scores — mirrors of the same immutable list), and all lists
+  /// agree on n. Must succeed before the Execute calls. The handshake's
+  /// messages are connection setup: each Execute call resets DistStats, so
+  /// they appear in stats() only until the first query runs.
   Status Connect();
 
   size_t num_lists() const { return replicas_of_.size(); }
@@ -230,11 +235,15 @@ class Coordinator {
 
   static constexpr size_t kNoList = static_cast<size_t>(-1);
 
-  Status ValidateQuery(const char* algorithm, const TopKQuery& query) const;
+  /// Fresh DistStats, backoff draws, owner liveness, latency rings and
+  /// replica health; runs before the handshake and before every query.
+  void ResetQueryState();
 
-  /// Runs a validated query: the BPA (or TPUT) loop over RemoteListIo, and
-  /// the NRA degrade when the loop lost a list.
-  Result<TopKResult> Execute(const TopKQuery& query, bool bpa);
+  /// Runs a query with the single-node start and finish
+  /// (core/topk_algorithm.h) around the BPA (or TPUT) loop over
+  /// RemoteListIo, and the NRA degrade when the loop lost a list.
+  Result<TopKResult> Execute(const char* engine, const TopKQuery& query,
+                             bool bpa);
 
   // --- RPC machinery (retry / backoff / hedging / death) ---
 

@@ -9,7 +9,11 @@
 //  2. robustness: under injected owner death and delays every query still
 //     returns, within its governor deadline, a θ-certified answer (θ >= 1,
 //     θ == 1 iff certified exact), deterministically replayable from the
-//     fault seed.
+//     fault seed;
+//
+// and one query lifecycle: the Coordinator starts and finishes its queries
+// with the single-node code, so certificates, execution_cost and StrictMode
+// agree with the single-node twin.
 
 #include "dist/coordinator.h"
 
@@ -536,6 +540,9 @@ TEST(DistFaultTest, OwnerDeathDegradesToCertifiedAnswer) {
     EXPECT_EQ(result.completion, Completion::kListFailure);
     EXPECT_GE(result.dead_lists, 1u);
     EXPECT_GE(coordinator.stats().owner_deaths, 1u);
+    // The kill landed inside the query, not after it.
+    EXPECT_GE(transport.fault_stats().dead_owners, 1u);
+    EXPECT_GE(coordinator.stats().groups_lost, 1u);
     EXPECT_GE(result.theta, 1.0);
     // θ-certification soundness against ground truth: every returned score
     // is a lower bound on the item's true score, and no unreturned item's
@@ -627,6 +634,169 @@ void ExpectExactParity(const TopKResult& dist, const TopKResult& reference) {
   EXPECT_EQ(dist.stats.random_accesses, reference.stats.random_accesses);
   EXPECT_EQ(dist.completion, Completion::kExact);
   EXPECT_DOUBLE_EQ(dist.theta, 1.0);
+}
+
+// Shared check: a degraded answer's certificate holds against Naive — every
+// returned score is a lower bound of the item's true score, no returned item
+// sits below kth_lower_bound, and no unreturned item exceeds
+// unreturned_upper_bound or θ times kth_lower_bound.
+void ExpectCertifiedAgainstNaive(const Database& db, const Scorer& scorer,
+                                 const TopKResult& result) {
+  const double eps = 1e-9;
+  EXPECT_NE(result.completion, Completion::kExact);
+  EXPECT_GE(result.theta, 1.0);
+  std::vector<Score> row(db.num_lists());
+  const auto true_score = [&](ItemId item) {
+    for (size_t j = 0; j < db.num_lists(); ++j) {
+      row[j] = db.list(j).Lookup(item).score;
+    }
+    return scorer.Combine(row.data(), row.size());
+  };
+  std::vector<bool> returned(db.num_items(), false);
+  for (const ResultItem& item : result.items) {
+    returned[item.item] = true;
+    EXPECT_LE(item.score, true_score(item.item) + eps) << "item " << item.item;
+    EXPECT_GE(true_score(item.item) + eps, result.kth_lower_bound);
+  }
+  for (ItemId item = 0; item < db.num_items(); ++item) {
+    if (returned[item]) {
+      continue;
+    }
+    EXPECT_LE(true_score(item), result.unreturned_upper_bound + eps)
+        << "item " << item;
+    if (result.kth_lower_bound > 0.0) {
+      EXPECT_LE(true_score(item), result.theta * result.kth_lower_bound + eps)
+          << "item " << item;
+    }
+  }
+}
+
+// ---- One query lifecycle: the single-node start and finish ----
+
+TEST(DistLifecycleTest, CertificateCostAndStrictModeMatchSingleNode) {
+  // The coordinator finishes its answers with the single-node code: a
+  // fault-free answer carries the same collapsed certificate and execution
+  // cost as the single-node twin, and StrictMode turns a whole-group death
+  // and a tripped access budget into the codes single-node returns. Without
+  // StrictMode the same runs return certified anytime answers.
+  SumScorer sum;
+  constexpr size_t kDeadList = 1;
+  for (const uint32_t replicas : {1u, 2u}) {
+    for (const uint64_t seed : {3u, 5u, 8u}) {
+      const Database db = MakeUniformDatabase(500, 4, seed);
+      for (const size_t k : {size_t{1}, size_t{10}, size_t{40}}) {
+        const TopKQuery query{k, &sum};
+        for (const bool tput : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << (tput ? "dTPUT" : "dBPA") << " replicas "
+                       << replicas << " seed " << seed << " k " << k);
+          AlgorithmOptions single;
+          single.memoize_seen_items = !tput;  // dBPA's access-count twin
+          const AlgorithmKind kind =
+              tput ? AlgorithmKind::kTput : AlgorithmKind::kBpa;
+          const TopKResult reference =
+              MakeAlgorithm(kind, single)->Execute(db, query).ValueOrDie();
+          DistOptions options;
+          options.replication_factor = replicas;
+          const auto run = [&](Transport* transport,
+                               const DistOptions& dist_options) {
+            Coordinator coordinator(transport, dist_options);
+            const Status connected = coordinator.Connect();
+            EXPECT_TRUE(connected.ok()) << connected.ToString();
+            return tput ? coordinator.ExecuteTput(query)
+                        : coordinator.ExecuteBpa(query);
+          };
+
+          InProcessTransport owners =
+              InProcessTransport::PerListOwners(db, replicas);
+          const TopKResult dist = run(&owners, options).ValueOrDie();
+          ExpectExactParity(dist, reference);
+          EXPECT_EQ(dist.kth_lower_bound, reference.kth_lower_bound);
+          EXPECT_EQ(dist.unreturned_upper_bound,
+                    reference.unreturned_upper_bound);
+          EXPECT_EQ(dist.theta, reference.theta);
+          EXPECT_EQ(dist.execution_cost, reference.execution_cost);
+
+          // Every replica of one list serves only the handshake: the query's
+          // first request to it finds the whole group dead. The single-node
+          // twin loses the same list on its first access.
+          TransportFaultPlan group_death;
+          for (uint32_t r = 0; r < replicas; ++r) {
+            group_death.kill_owners.push_back(
+                InProcessTransport::OwnerIndex(db.num_lists(), kDeadList, r));
+          }
+          group_death.kill_after_messages = 1;
+          AlgorithmOptions single_death = single;
+          single_death.fault_plan.kill_list = kDeadList;
+          single_death.fault_plan.kill_after_accesses = 1;
+          for (const bool strict : {false, true}) {
+            SCOPED_TRACE(strict ? "strict" : "anytime");
+            // Whole-group death.
+            single_death.governor.strict = strict;
+            const Result<TopKResult> single_lost =
+                MakeAlgorithm(kind, single_death)->Execute(db, query);
+            InProcessTransport inner =
+                InProcessTransport::PerListOwners(db, replicas);
+            FaultInjectingTransport faults(&inner, group_death);
+            DistOptions dist_death = options;
+            dist_death.governor.strict = strict;
+            const Result<TopKResult> lost = run(&faults, dist_death);
+            EXPECT_GE(faults.fault_stats().dead_owners, replicas);
+            if (strict) {
+              EXPECT_TRUE(single_lost.status().IsUnavailable())
+                  << single_lost.status().ToString();
+              EXPECT_TRUE(lost.status().IsUnavailable())
+                  << lost.status().ToString();
+            } else {
+              ASSERT_TRUE(lost.ok()) << lost.status().ToString();
+              EXPECT_EQ(lost.ValueOrDie().completion,
+                        Completion::kListFailure);
+              EXPECT_EQ(lost.ValueOrDie().dead_lists, 1u);
+              ExpectCertifiedAgainstNaive(db, sum, lost.ValueOrDie());
+            }
+
+            // An access budget of half the exact run's accesses.
+            AlgorithmOptions single_budget = single;
+            single_budget.governor.total_access_budget =
+                reference.stats.TotalAccesses() / 2;
+            single_budget.governor.strict = strict;
+            const Result<TopKResult> single_cut =
+                MakeAlgorithm(kind, single_budget)->Execute(db, query);
+            DistOptions dist_budget = options;
+            dist_budget.governor = single_budget.governor;
+            const Result<TopKResult> cut = run(&owners, dist_budget);
+            if (strict) {
+              EXPECT_TRUE(single_cut.status().IsResourceExhausted())
+                  << single_cut.status().ToString();
+              EXPECT_TRUE(cut.status().IsResourceExhausted())
+                  << cut.status().ToString();
+            } else {
+              ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+              EXPECT_EQ(cut.ValueOrDie().completion,
+                        Completion::kAccessBudget);
+              ExpectCertifiedAgainstNaive(db, sum, cut.ValueOrDie());
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DistLifecycleTest, OptionErrorsSurfaceAtConnect) {
+  // Options are immutable, so they are validated once, by the handshake;
+  // a coordinator that failed to connect rejects every query.
+  const Database db = MakeUniformDatabase(50, 3, 2);
+  SumScorer sum;
+  InProcessTransport transport = InProcessTransport::PerListOwners(db);
+  DistOptions options;
+  options.window_rows = 0;
+  Coordinator coordinator(&transport, options);
+  EXPECT_TRUE(coordinator.Connect().IsInvalid());
+  EXPECT_EQ(coordinator.stats().messages_sent, 0u);
+  EXPECT_TRUE(coordinator.ExecuteBpa(TopKQuery{3, &sum}).status().IsInvalid());
+  EXPECT_TRUE(
+      coordinator.ExecuteTput(TopKQuery{3, &sum}).status().IsInvalid());
 }
 
 TEST(DistReplicaTest, FaultFreeR2MatchesSingleNodeExactly) {
@@ -759,6 +929,13 @@ TEST(DistReplicaTest, CursorHandoffExactAtEveryKillPoint) {
     const TopKResult result = coordinator.ExecuteBpa(query).ValueOrDie();
     ExpectExactParity(result, reference);
     EXPECT_EQ(coordinator.stats().groups_lost, 0u);
+    // The kill point fell inside the query and the sibling took over: by a
+    // routing failover once the breaker opened (kill point 1), by hedge wins
+    // against the dead primary (2-4).
+    EXPECT_GE(transport.fault_stats().dead_owners, 1u);
+    EXPECT_GE(coordinator.stats().replica_failovers +
+                  coordinator.stats().hedge_wins,
+              1u);
   }
 }
 
@@ -779,6 +956,7 @@ TEST(DistReplicaTest, BreakerScheduleIsDeterministic) {
   plan.death_max_messages = 3;  // inside the query's few rounds per list
   plan.flap_revive_calls = 3;
 
+  TransportFaultStats faults;
   const auto run = [&](TopKResult* result, DistStats* stats) {
     InProcessTransport inner = InProcessTransport::PerListOwners(db, 2);
     FaultInjectingTransport transport(&inner, plan);
@@ -789,6 +967,7 @@ TEST(DistReplicaTest, BreakerScheduleIsDeterministic) {
     ASSERT_TRUE(coordinator.Connect().ok());
     *result = coordinator.ExecuteBpa(query).ValueOrDie();
     *stats = coordinator.stats();
+    faults = transport.fault_stats();
   };
   TopKResult first_result, second_result;
   DistStats first, second;
@@ -812,6 +991,8 @@ TEST(DistReplicaTest, BreakerScheduleIsDeterministic) {
   // The plan actually exercised the health machinery (half of eight owners
   // flap at this seed).
   EXPECT_GT(first.breaker_opens, 0u);
+  EXPECT_GE(faults.dead_owners, 1u);
+  EXPECT_GE(first.replica_failovers, 1u);
   // The deadline also counts wall time; far from it, no sanitizer or host
   // slowdown can move the point where the query stops.
   EXPECT_LT(first.virtual_ms, 0.5 * 400.0);
@@ -850,6 +1031,90 @@ TEST(DistReplicaTest, WholeGroupDeathDegradesToCertifiedAnswer) {
     const DistStats& stats = coordinator.stats();
     EXPECT_GE(stats.owner_deaths, 2u);
     EXPECT_GE(stats.groups_lost, 1u);
+    // Both kills landed inside the query.
+    EXPECT_GE(transport.fault_stats().dead_owners, 2u);
+  }
+}
+
+// Owners serving lists {0, 1} and {2, 3}, replica-major like PerListOwners:
+// owner r * 2 + g serves group g as replica r.
+InProcessTransport TwoListOwners(const Database& db, size_t replicas) {
+  InProcessTransport transport;
+  for (size_t r = 0; r < replicas; ++r) {
+    transport.AddOwner(ListOwner(&db, {0, 1}));
+    transport.AddOwner(ListOwner(&db, {2, 3}));
+  }
+  return transport;
+}
+
+TEST(DistMultiListOwnerTest, OwnerDeathLosesBothListsCertified) {
+  // At R = 1 one owner death takes both of its lists: the query degrades
+  // with two groups lost, and the certificate still holds against Naive.
+  const Database db = MakeUniformDatabase(500, 4, 23);
+  SumScorer sum;
+  const TopKQuery query{10, &sum};
+  for (const bool tput : {false, true}) {
+    SCOPED_TRACE(tput ? "dTPUT" : "dBPA");
+    InProcessTransport inner = TwoListOwners(db, 1);
+    TransportFaultPlan plan;
+    // The owner of lists {2, 3} serves the handshake and list 2's first
+    // window; list 3's first window finds it dead.
+    plan.kill_owner = 1;
+    plan.kill_after_messages = 2;
+    FaultInjectingTransport transport(&inner, plan);
+    Coordinator coordinator(&transport, DistOptions{});
+    ASSERT_TRUE(coordinator.Connect().ok());
+    const TopKResult result =
+        (tput ? coordinator.ExecuteTput(query) : coordinator.ExecuteBpa(query))
+            .ValueOrDie();
+
+    EXPECT_GE(transport.fault_stats().dead_owners, 1u);
+    EXPECT_EQ(coordinator.stats().owner_deaths, 1u);
+    EXPECT_EQ(coordinator.stats().groups_lost, 2u);
+    EXPECT_EQ(result.dead_lists, 2u);
+    EXPECT_TRUE(result.failed_over);
+    EXPECT_EQ(result.completion, Completion::kListFailure);
+    ExpectCertifiedAgainstNaive(db, sum, result);
+  }
+}
+
+TEST(DistMultiListOwnerTest, ReplicaDeathOfTwoListOwnerStaysExact) {
+  // At R = 2 the same death takes one replica of both lists; the sibling
+  // serves them both and the answer is byte-identical to single-node.
+  const Database db = MakeUniformDatabase(500, 4, 23);
+  SumScorer sum;
+  const TopKQuery query{10, &sum};
+  AlgorithmOptions memoized;
+  memoized.memoize_seen_items = true;
+  const TopKResult bpa_reference =
+      MakeAlgorithm(AlgorithmKind::kBpa, memoized)->Execute(db, query)
+          .ValueOrDie();
+  const TopKResult tput_reference =
+      MakeAlgorithm(AlgorithmKind::kTput)->Execute(db, query).ValueOrDie();
+  for (const bool tput : {false, true}) {
+    SCOPED_TRACE(tput ? "dTPUT" : "dBPA");
+    InProcessTransport inner = TwoListOwners(db, 2);
+    TransportFaultPlan plan;
+    plan.kill_owner = 1;  // replica 0 of lists {2, 3}
+    plan.kill_after_messages = 2;
+    FaultInjectingTransport transport(&inner, plan);
+    DistOptions options;
+    options.replication_factor = 2;
+    Coordinator coordinator(&transport, options);
+    ASSERT_TRUE(coordinator.Connect().ok());
+    const TopKResult result =
+        (tput ? coordinator.ExecuteTput(query) : coordinator.ExecuteBpa(query))
+            .ValueOrDie();
+
+    ExpectExactParity(result, tput ? tput_reference : bpa_reference);
+    EXPECT_EQ(result.execution_cost, (tput ? tput_reference : bpa_reference)
+                                         .execution_cost);
+    EXPECT_GE(transport.fault_stats().dead_owners, 1u);
+    EXPECT_GE(coordinator.stats().replica_failovers +
+                  coordinator.stats().hedge_wins,
+              1u);
+    EXPECT_EQ(coordinator.stats().groups_lost, 0u);
+    EXPECT_EQ(result.dead_lists, 0u);
   }
 }
 
@@ -866,6 +1131,8 @@ TEST(DistReplicaTest, ChaosSoakExactOrCertifiedUnderDeadline) {
       MakeAlgorithm(AlgorithmKind::kBpa, memoized)->Execute(db, query)
           .ValueOrDie();
 
+  uint64_t dead_owners = 0;
+  uint64_t coordinator_reactions = 0;
   for (const size_t replicas : {size_t{1}, size_t{2}}) {
     for (uint64_t seed = 1; seed <= 6; ++seed) {
       SCOPED_TRACE(::testing::Message()
@@ -893,6 +1160,11 @@ TEST(DistReplicaTest, ChaosSoakExactOrCertifiedUnderDeadline) {
 
       EXPECT_GE(result.theta, 1.0);
       EXPECT_LT(coordinator.stats().virtual_ms, 2.0 * 250.0);
+      dead_owners += transport.fault_stats().dead_owners;
+      coordinator_reactions += coordinator.stats().owner_deaths +
+                               coordinator.stats().replica_failovers +
+                               coordinator.stats().groups_lost +
+                               coordinator.stats().breaker_opens;
       if (result.completion == Completion::kExact) {
         ExpectExactParity(result, reference);
       } else {
@@ -902,6 +1174,11 @@ TEST(DistReplicaTest, ChaosSoakExactOrCertifiedUnderDeadline) {
       }
     }
   }
+  // Over the seeds the deaths landed inside queries and the coordinator
+  // reacted. Flapping owners revive within the retry budget here, so no
+  // death is declared; the reaction is a breaker opening.
+  EXPECT_GE(dead_owners, 1u);
+  EXPECT_GE(coordinator_reactions, 1u);
 }
 
 TEST(DistReplicaTest, ConnectRejectsMismatchedReplicaCounts) {
@@ -1121,6 +1398,55 @@ TEST(DistWireTimelineTest, SeededDelayDropRunIsPinned) {
     EXPECT_EQ(stats.hedge_wins, want_hedge_wins);
     EXPECT_EQ(stats.timeouts, want_timeouts);
     EXPECT_DOUBLE_EQ(stats.virtual_ms, want_virtual_ms);
+  }
+}
+
+TEST(DistWireTimelineTest, SeededRetryRunIsPinned) {
+  // At a 10% drop rate some attempts lose both the primary and its hedge, so
+  // the retry, backoff and timeout part of the timeline gets an exact pin
+  // too — for both engines at R = 1 and R = 2, and every answer stays exact.
+  const Database db = MakeUniformDatabase(2000, 4, 77);
+  SumScorer sum;
+  const TopKQuery query{500, &sum};
+  struct RetryPin {
+    uint64_t retries;
+    uint64_t timeouts;
+    uint64_t hedges;
+    uint64_t hedge_wins;
+    double virtual_ms;
+  };
+  // [replicas - 1][tput]
+  const RetryPin pins[2][2] = {
+      {{5, 5, 11, 10, 41.835826074894783}, {1, 1, 11, 10, 12.871854601567705}},
+      {{7, 7, 10, 8, 50.17286167786196}, {2, 2, 10, 7, 14.376152353926143}},
+  };
+  for (const uint32_t replicas : {1u, 2u}) {
+    InProcessTransport inner = InProcessTransport::PerListOwners(db, replicas);
+    TransportFaultPlan plan;
+    plan.seed = 3;
+    plan.delay_rate = 0.02;
+    plan.drop_rate = 0.1;
+    FaultInjectingTransport transport(&inner, plan);
+    DistOptions options;
+    options.replication_factor = replicas;
+    Coordinator coordinator(&transport, options);
+    ASSERT_TRUE(coordinator.Connect().ok());
+    for (const bool tput : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << (tput ? "dTPUT" : "dBPA")
+                                        << " replicas " << replicas);
+      const TopKResult result =
+          (tput ? coordinator.ExecuteTput(query)
+                : coordinator.ExecuteBpa(query))
+              .ValueOrDie();
+      EXPECT_EQ(result.completion, Completion::kExact);
+      const RetryPin& want = pins[replicas - 1][tput];
+      const DistStats& stats = coordinator.stats();
+      EXPECT_EQ(stats.retries, want.retries);
+      EXPECT_EQ(stats.timeouts, want.timeouts);
+      EXPECT_EQ(stats.hedges, want.hedges);
+      EXPECT_EQ(stats.hedge_wins, want.hedge_wins);
+      EXPECT_DOUBLE_EQ(stats.virtual_ms, want.virtual_ms);
+    }
   }
 }
 
