@@ -97,6 +97,10 @@
 #include "tracker/best_position_tracker.h"
 #include "tracker/bplus_tree.h"
 
+// The repository benchmark's per-MessageType call counter; with a bandwidth
+// of 0 it leaves every latency as the inner transport reports it.
+#include "../perfbench/src/metered_transport.h"
+
 namespace topk {
 namespace {
 
@@ -1032,17 +1036,21 @@ int RunServeMode(const ThroughputConfig& config) {
 bool RunDistQuery(const Database& db, bool bpa, size_t k, size_t replicas,
                   const TransportFaultPlan* plan, double deadline_ms,
                   TopKResult* result, DistStats* stats,
-                  TransportFaultStats* fault_stats) {
+                  TransportFaultStats* fault_stats, uint64_t* drains) {
+  // `fault_stats` and `drains` may be null.
   InProcessTransport inner = InProcessTransport::PerListOwners(db, replicas);
   FaultInjectingTransport faulty(&inner,
                                  plan != nullptr ? *plan
                                                  : TransportFaultPlan{});
-  Transport* transport = plan != nullptr ? static_cast<Transport*>(&faulty)
-                                         : static_cast<Transport*>(&inner);
+  // Counts kDrain messages, hedged and retried copies included.
+  perfbench::MeteredTransport transport(
+      plan != nullptr ? static_cast<Transport*>(&faulty)
+                      : static_cast<Transport*>(&inner),
+      /*bytes_per_ms=*/0.0);
   DistOptions options;
   options.governor.deadline_ms = deadline_ms;
   options.replication_factor = static_cast<uint32_t>(replicas);
-  Coordinator coordinator(transport, options);
+  Coordinator coordinator(&transport, options);
   if (!coordinator.Connect().ok()) {
     return false;
   }
@@ -1057,6 +1065,10 @@ bool RunDistQuery(const Database& db, bool bpa, size_t k, size_t replicas,
   *stats = coordinator.stats();
   if (fault_stats != nullptr) {
     *fault_stats = faulty.fault_stats();
+  }
+  if (drains != nullptr) {
+    *drains =
+        transport.by_type()[static_cast<size_t>(MessageType::kDrain)].calls;
   }
   return true;
 }
@@ -1092,8 +1104,9 @@ int RunDistMode(const ThroughputConfig& config) {
     for (const bool bpa : {true, false}) {
       TopKResult result;
       DistStats stats;
+      uint64_t drains = 0;
       if (!RunDistQuery(db, bpa, p.k, 1, nullptr, 0.0, &result, &stats,
-                        nullptr)) {
+                        nullptr, &drains)) {
         std::fprintf(stderr, "dist %s failed at n=%zu m=%zu k=%zu\n",
                      bpa ? "BPA" : "TPUT", p.n, p.m, p.k);
         return 1;
@@ -1107,7 +1120,8 @@ int RunDistMode(const ThroughputConfig& config) {
           "    {\"algorithm\": \"%s\", \"n\": %zu, \"m\": %zu, \"k\": %zu,"
           " \"messages_sent\": %llu, \"replies_received\": %llu,"
           " \"bytes_sent\": %llu, \"bytes_received\": %llu,"
-          " \"rounds\": %llu, \"sorted_accesses\": %llu,"
+          " \"rounds\": %llu, \"drain_messages\": %llu,"
+          " \"sorted_accesses\": %llu,"
           " \"random_accesses\": %llu, \"stop_position\": %u}",
           bpa ? "dBPA" : "dTPUT", p.n, p.m, p.k,
           static_cast<unsigned long long>(stats.messages_sent),
@@ -1115,6 +1129,7 @@ int RunDistMode(const ThroughputConfig& config) {
           static_cast<unsigned long long>(stats.bytes_sent),
           static_cast<unsigned long long>(stats.bytes_received),
           static_cast<unsigned long long>(stats.rounds),
+          static_cast<unsigned long long>(drains),
           static_cast<unsigned long long>(result.stats.sorted_accesses),
           static_cast<unsigned long long>(result.stats.random_accesses),
           result.stop_position);
@@ -1127,7 +1142,7 @@ int RunDistMode(const ThroughputConfig& config) {
   // deadline per query (roomy enough that the fault-free baseline certifies
   // exact — the sweep then isolates what the *faults* cost), and a grid of
   // owner-death x delay rates. delay_ms equals the 5 ms RPC deadline, the
-  // regime hedging is built for: a delayed primary outlasts the p99-derived
+  // regime hedging is built for: a delayed primary outlasts the p95-derived
   // hedge timeout and the re-issued request wins. Recall is against the
   // fault-free exact answer; theta >= 1 is each degraded answer's own
   // certificate (1 = certified exact).
@@ -1172,6 +1187,7 @@ int RunDistMode(const ThroughputConfig& config) {
           size_t theta_finite = 0;
           DistStats totals;
           TransportFaultStats fault_totals;
+          uint64_t drain_totals = 0;
           for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
             TransportFaultPlan plan;
             plan.seed = seed;
@@ -1185,8 +1201,9 @@ int RunDistMode(const ThroughputConfig& config) {
             TopKResult result;
             DistStats stats;
             TransportFaultStats faults;
+            uint64_t drains = 0;
             if (!RunDistQuery(db, bpa, kK, replication, &plan, kDeadlineMs,
-                              &result, &stats, &faults)) {
+                              &result, &stats, &faults, &drains)) {
               std::fprintf(stderr, "degraded dist query failed (seed %llu)\n",
                            static_cast<unsigned long long>(seed));
               return 1;
@@ -1212,6 +1229,7 @@ int RunDistMode(const ThroughputConfig& config) {
             totals.duplicate_replies += stats.duplicate_replies;
             totals.owner_deaths += stats.owner_deaths;
             totals.messages_sent += stats.messages_sent;
+            drain_totals += drains;
             totals.replica_failovers += stats.replica_failovers;
             totals.breaker_opens += stats.breaker_opens;
             totals.probes_sent += stats.probes_sent;
@@ -1233,6 +1251,7 @@ int RunDistMode(const ThroughputConfig& config) {
               " \"deadline_trips\": %zu, \"mean_recall\": %.4f,"
               " \"mean_theta\": %.4f, \"theta_finite\": %zu,\n"
               "     \"mean_virtual_ms\": %.3f, \"messages_sent\": %llu,"
+              " \"drain_messages\": %llu,"
               " \"retries\": %llu, \"hedges\": %llu, \"hedge_wins\": %llu,"
               " \"timeouts\": %llu, \"duplicate_replies\": %llu,"
               " \"owner_deaths\": %u, \"delayed_messages\": %llu,\n"
@@ -1246,6 +1265,7 @@ int RunDistMode(const ThroughputConfig& config) {
                   : 0.0,
               theta_finite, virtual_ms_sum / q,
               static_cast<unsigned long long>(totals.messages_sent),
+              static_cast<unsigned long long>(drain_totals),
               static_cast<unsigned long long>(totals.retries),
               static_cast<unsigned long long>(totals.hedges),
               static_cast<unsigned long long>(totals.hedge_wins),
@@ -1289,7 +1309,7 @@ int RunDistMode(const ThroughputConfig& config) {
       DistStats stats;
       TransportFaultStats faults;
       if (!RunDistQuery(db, bpa, kK, replication, &plan, kKillDeadlineMs,
-                        &result, &stats, &faults)) {
+                        &result, &stats, &faults, nullptr)) {
         std::fprintf(stderr, "targeted-kill dist query failed\n");
         return 1;
       }

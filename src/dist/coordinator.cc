@@ -72,7 +72,7 @@ Status DistOptions::Validate(const char* algorithm, size_t num_owners) const {
   if (!std::isfinite(hedge_multiplier) || hedge_multiplier < 1.0) {
     return Status::Invalid(algorithm,
                            ": dist hedge_multiplier must be >= 1 (a hedge "
-                           "below the observed p99 races every exchange); got "
+                           "below the observed p95 races every exchange); got "
                            "hedge_multiplier = ",
                            hedge_multiplier);
   }
@@ -220,12 +220,15 @@ double Coordinator::HedgeTimeoutMs(size_t owner) const {
   }
   latency_scratch_.assign(latency_ring_.begin() + owner * kLatencyRing,
                           latency_ring_.begin() + owner * kLatencyRing + count);
-  const size_t p99 = static_cast<size_t>(
-      static_cast<double>(count - 1) * 0.99);
-  std::nth_element(latency_scratch_.begin(), latency_scratch_.begin() + p99,
+  // p95, not p99: in a 64-sample ring p99 is the second-largest sample, so
+  // two delayed exchanges would lift the timer past every later delay and
+  // switch hedging off (Dean & Barroso, "The Tail at Scale", hedge at p95).
+  const size_t p95 = static_cast<size_t>(
+      static_cast<double>(count - 1) * 0.95);
+  std::nth_element(latency_scratch_.begin(), latency_scratch_.begin() + p95,
                    latency_scratch_.end());
   return std::max(options_.hedge_floor_ms,
-                  options_.hedge_multiplier * latency_scratch_[p99]);
+                  options_.hedge_multiplier * latency_scratch_[p95]);
 }
 
 void Coordinator::RecordLatency(size_t owner, double latency_ms) {

@@ -12,7 +12,7 @@
 //    with a bounded retry budget and deterministic jittered exponential
 //    backoff (all charged as virtual milliseconds, on the lane of the list
 //    the RPC serves, against the query governor's deadline);
-//  * straggler hedging: when an exchange outlasts a p99-derived per-owner
+//  * straggler hedging: when an exchange outlasts a p95-derived per-owner
 //    hedge timeout, the request is re-issued and the earlier reply wins
 //    (duplicates are deduped and their bytes counted, as an at-least-once
 //    transport forces);
@@ -29,13 +29,13 @@
 //  * the wire and robustness counters (DistStats).
 //
 // RemoteListIo batches the loops' accesses so the wire carries few large
-// messages in few rounds — sorted access in windows of window_rows rows
-// (kDrain with an owner-side threshold stop in TPUT phase 2), random access
-// in one lookup vector per list per BPA window of rows or TPUT phase 3 —
-// the metrics the distributed top-k literature optimizes (messages, bytes
-// and rounds per query). The requests of one round fan out concurrently:
-// virtual time charges each round its longest per-list lane, not the sum of
-// its RPCs.
+// messages in few rounds — sorted access in windows of window_rows rows (in
+// TPUT phase 2, kDrains of up to 12 windows with an owner-side threshold
+// stop), random access in one lookup vector per list per BPA window of rows
+// or TPUT phase 3 — the metrics the distributed top-k literature optimizes
+// (messages, bytes and rounds per query). The requests of one round fan out
+// concurrently: virtual time charges each round its longest per-list lane,
+// not the sum of its RPCs.
 //
 // Only when a WHOLE replica group is dead does a list die. The BPA or TPUT
 // loop then returns Unavailable, and the coordinator runs the NRA loop on
@@ -77,7 +77,9 @@ namespace topk {
 /// Knobs of one coordinator. A default-constructed DistOptions is valid for
 /// any transport with at least one owner.
 struct DistOptions {
-  /// Sorted-access batching: rows fetched per kSortedWindow/kDrain message.
+  /// Sorted-access batching: rows fetched per kSortedWindow message. A
+  /// TPUT phase-2 kDrain fetches up to 12 windows (its owner-side threshold
+  /// stop, not the cap, decides how many rows it ships).
   uint32_t window_rows = 64;
 
   /// Per-RPC deadline in virtual milliseconds: what a lost message or dead
@@ -94,7 +96,7 @@ struct DistOptions {
   uint64_t backoff_seed = 1;
 
   /// Straggler hedging: when an exchange outlasts the owner's hedge timeout
-  /// — hedge_multiplier times the owner's observed p99 latency, never below
+  /// — hedge_multiplier times the owner's observed p95 latency, never below
   /// hedge_floor_ms — the request is re-issued and the earlier reply wins.
   bool hedging = true;
   double hedge_floor_ms = 1.0;
@@ -326,7 +328,7 @@ class Coordinator {
   std::vector<uint8_t> group_lost_counted_;  // list -> groups_lost tallied
   uint64_t health_counter_ = 0;              // jitter draw counter
 
-  // Per-owner latency rings feeding the p99 hedge timeout.
+  // Per-owner latency rings feeding the p95 hedge timeout.
   static constexpr size_t kLatencyRing = 64;
   std::vector<double> latency_ring_;  // owner-major, kLatencyRing samples
   std::vector<uint32_t> latency_count_;

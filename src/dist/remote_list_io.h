@@ -14,8 +14,12 @@
 //    refill point: when the list's next position is not buffered it sends a
 //    kSortedWindow of min(window_rows, horizon - p + 1) rows (horizon = n,
 //    or the prefix depth after LimitSortedWindows), or, once DrainTo set a
-//    threshold, a kDrain of up to window_rows rows whose threshold stop runs
-//    at the owner. Sorted(i, p) then reads the buffer.
+//    threshold, a kDrain of up to 12 * window_rows rows whose threshold
+//    stop runs at the owner. The stop ends a drain at the same row whatever
+//    the cap, so a drain ships no more rows than a window-sized one would,
+//    in a twelfth of the messages; window_rows itself stays small because
+//    it bounds how far dBPA's lookahead overshoots its stop. Sorted(i, p)
+//    then reads the buffer.
 //  * Random access is served from per-list lookup batches issued before the
 //    loop consumes them: the loop queues the (list, item) pairs it is about
 //    to access (QueueRandom), IssueRandom sends one kRandomLookup per list

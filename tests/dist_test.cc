@@ -23,6 +23,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/algorithms.h"
@@ -35,6 +36,154 @@
 
 namespace topk {
 namespace {
+
+// ---- Shared checks and transport decorators ----
+
+// Shared check: `dist` is byte-identical to the single-node reference —
+// same items, same scores (same tie order), same stop depth, same logical
+// access counts — and certified exact.
+void ExpectExactParity(const TopKResult& dist, const TopKResult& reference) {
+  ASSERT_EQ(dist.items.size(), reference.items.size());
+  for (size_t i = 0; i < reference.items.size(); ++i) {
+    EXPECT_EQ(dist.items[i].item, reference.items[i].item) << "rank " << i;
+    EXPECT_DOUBLE_EQ(dist.items[i].score, reference.items[i].score);
+  }
+  EXPECT_EQ(dist.stop_position, reference.stop_position);
+  EXPECT_EQ(dist.stats.sorted_accesses, reference.stats.sorted_accesses);
+  EXPECT_EQ(dist.stats.random_accesses, reference.stats.random_accesses);
+  EXPECT_EQ(dist.completion, Completion::kExact);
+  EXPECT_DOUBLE_EQ(dist.theta, 1.0);
+}
+
+// Shared check: a degraded answer's certificate holds against Naive — every
+// returned score is a lower bound of the item's true score, no returned item
+// sits below kth_lower_bound, and no unreturned item exceeds
+// unreturned_upper_bound or θ times kth_lower_bound.
+void ExpectCertifiedAgainstNaive(const Database& db, const Scorer& scorer,
+                                 const TopKResult& result) {
+  const double eps = 1e-9;
+  EXPECT_NE(result.completion, Completion::kExact);
+  EXPECT_GE(result.theta, 1.0);
+  std::vector<Score> row(db.num_lists());
+  const auto true_score = [&](ItemId item) {
+    for (size_t j = 0; j < db.num_lists(); ++j) {
+      row[j] = db.list(j).Lookup(item).score;
+    }
+    return scorer.Combine(row.data(), row.size());
+  };
+  std::vector<bool> returned(db.num_items(), false);
+  for (const ResultItem& item : result.items) {
+    returned[item.item] = true;
+    EXPECT_LE(item.score, true_score(item.item) + eps) << "item " << item.item;
+    EXPECT_GE(true_score(item.item) + eps, result.kth_lower_bound);
+  }
+  for (ItemId item = 0; item < db.num_items(); ++item) {
+    if (returned[item]) {
+      continue;
+    }
+    EXPECT_LE(true_score(item), result.unreturned_upper_bound + eps)
+        << "item " << item;
+    if (result.kth_lower_bound > 0.0) {
+      EXPECT_LE(true_score(item), result.theta * result.kth_lower_bound + eps)
+          << "item " << item;
+    }
+  }
+}
+
+// A transport decorator that slows every exchange by its owner's own fixed
+// latency — plus, given a link bandwidth, its request and reply bytes over
+// that bandwidth — and logs the query's exchanges (the handshake's are left
+// out), so a test can rebuild the virtual timeline the coordinator should
+// charge, or follow a list's sorted cursor across owners.
+class LaneTransport : public Transport {
+ public:
+  struct Exchange {
+    MessageType type;
+    size_t owner;
+    uint32_t list_index;
+    Position start;  ///< the request's first position (windows, drains)
+    size_t rows;     ///< entries in the reply; 0 when the exchange failed
+    bool ok;
+    double latency_ms;
+  };
+
+  LaneTransport(Transport* inner, double ms_per_owner,
+                double bytes_per_ms = 0.0)
+      : inner_(inner), ms_per_owner_(ms_per_owner),
+        bytes_per_ms_(bytes_per_ms) {}
+
+  size_t num_owners() const override { return inner_->num_owners(); }
+
+  Status Call(size_t owner, const Request& request, Reply* reply,
+              CallResult* result) override {
+    const Status status = inner_->Call(owner, request, reply, result);
+    result->latency_ms += ms_per_owner_ * static_cast<double>(owner + 1);
+    if (bytes_per_ms_ > 0.0) {
+      const size_t bytes =
+          request.WireBytes() + (status.ok() ? reply->WireBytes() : 0);
+      result->latency_ms += static_cast<double>(bytes) / bytes_per_ms_;
+    }
+    if (request.type != MessageType::kHello) {
+      log_.push_back({request.type, owner, request.list_index, request.start,
+                      status.ok() ? reply->entries.size() : 0, status.ok(),
+                      result->latency_ms});
+    }
+    if (request.type == MessageType::kRandomLookup) {
+      for (const ItemId item : request.items) {
+        lookups_.insert(uint64_t{request.list_index} << 32 | item);
+      }
+    }
+    return status;
+  }
+
+  const std::vector<Exchange>& log() const { return log_; }
+  /// Distinct (list, item) pairs sent in lookups: what the coordinator
+  /// asked for, with hedged and retried copies counted once.
+  size_t distinct_lookups() const { return lookups_.size(); }
+  void Clear() {
+    log_.clear();
+    lookups_.clear();
+  }
+
+ private:
+  Transport* inner_;
+  double ms_per_owner_;
+  double bytes_per_ms_;
+  std::vector<Exchange> log_;
+  std::set<uint64_t> lookups_;
+};
+
+// A transport decorator that delays chosen query exchanges of one owner:
+// its calls are numbered from 0 in order (the handshake left out), and the
+// listed ones arrive delay_ms late.
+class ScriptedDelayTransport : public Transport {
+ public:
+  ScriptedDelayTransport(Transport* inner, size_t owner,
+                         std::set<uint64_t> delayed_calls, double delay_ms)
+      : inner_(inner),
+        owner_(owner),
+        delayed_calls_(std::move(delayed_calls)),
+        delay_ms_(delay_ms) {}
+
+  size_t num_owners() const override { return inner_->num_owners(); }
+
+  Status Call(size_t owner, const Request& request, Reply* reply,
+              CallResult* result) override {
+    const Status status = inner_->Call(owner, request, reply, result);
+    if (owner == owner_ && request.type != MessageType::kHello &&
+        delayed_calls_.count(calls_++) != 0) {
+      result->latency_ms += delay_ms_;
+    }
+    return status;
+  }
+
+ private:
+  Transport* inner_;
+  size_t owner_;
+  std::set<uint64_t> delayed_calls_;
+  double delay_ms_;
+  uint64_t calls_ = 0;
+};
 
 // ---- ListOwner ----
 
@@ -329,6 +478,51 @@ TEST(DistCoordinatorTest, WindowSizeDoesNotChangeAnswers) {
             narrow_tput.stats.sorted_accesses);
 }
 
+TEST(DistCoordinatorTest, DrainsShipPhaseTwoInTwelveWindowMessages) {
+  // A kDrain asks for 12 windows of rows. The owner's threshold stop ends
+  // each list's drain where a local scan stops, so the drains ship exactly
+  // the loop's phase-2 rows, in ceil(rows / (12 * window_rows)) messages
+  // per list, and the answer and access counts are single-node TPUT's. On
+  // a 100 Mbit/s link a full drain reply still returns inside the 1 ms
+  // hedge floor, so no drain is hedged in duplicate for being long.
+  const size_t m = 5;
+  const Database db = MakeUniformDatabase(5000, m, 11);
+  SumScorer sum;
+  const TopKQuery query{20, &sum};
+  const TopKResult reference =
+      MakeAlgorithm(AlgorithmKind::kTput)->Execute(db, query).ValueOrDie();
+
+  InProcessTransport inner = InProcessTransport::PerListOwners(db);
+  LaneTransport wire(&inner, /*ms_per_owner=*/0.0,
+                     /*bytes_per_ms=*/12'500.0);
+  const DistOptions options;
+  Coordinator coordinator(&wire, options);
+  ASSERT_TRUE(coordinator.Connect().ok());
+  const TopKResult result = coordinator.ExecuteTput(query).ValueOrDie();
+  ExpectExactParity(result, reference);
+  EXPECT_EQ(coordinator.stats().hedges, 0u);
+
+  std::vector<uint64_t> drains(m, 0);
+  std::vector<uint64_t> drained_rows(m, 0);
+  for (const LaneTransport::Exchange& exchange : wire.log()) {
+    if (exchange.type == MessageType::kDrain) {
+      ++drains[exchange.list_index];
+      drained_rows[exchange.list_index] += exchange.rows;
+    }
+  }
+  const uint64_t drain_rows = 12 * uint64_t{options.window_rows};
+  uint64_t phase_two_rows = 0;
+  for (size_t i = 0; i < m; ++i) {
+    SCOPED_TRACE(i);
+    // Each list drains past one full message, so the cap is exercised.
+    EXPECT_GT(drained_rows[i], drain_rows);
+    EXPECT_EQ(drains[i], (drained_rows[i] + drain_rows - 1) / drain_rows);
+    phase_two_rows += drained_rows[i];
+  }
+  // Phase 1 reads k rows of every list; the drains ship the rest.
+  EXPECT_EQ(phase_two_rows, result.stats.sorted_accesses - m * query.k);
+}
+
 TEST(DistCoordinatorTest, MultiListOwnersMatchPerListOwners) {
   const Database db = MakeUniformDatabase(300, 4, 13);
   SumScorer sum;
@@ -437,7 +631,11 @@ TEST(DistFaultTest, DropsAreRetriedTransparently) {
   plan.seed = 7;
   plan.drop_rate = 0.20;  // well within a 4-attempt budget
   FaultInjectingTransport transport(&inner, plan);
-  Coordinator coordinator(&transport, DistOptions{});
+  // 4-row windows make 48-row drains: about twenty messages, enough for the
+  // drop rate to hit (at the default the query sends six).
+  DistOptions options;
+  options.window_rows = 4;
+  Coordinator coordinator(&transport, options);
   ASSERT_TRUE(coordinator.Connect().ok());
   const TopKResult dist = coordinator.ExecuteTput(query).ValueOrDie();
 
@@ -502,15 +700,44 @@ TEST(DistFaultTest, DelaysTriggerHedging) {
   TransportFaultPlan plan;
   plan.seed = 3;
   plan.delay_rate = 0.25;
-  plan.delay_ms = 50.0;  // way past any p99-derived hedge timeout
+  plan.delay_ms = 50.0;  // way past any p95-derived hedge timeout
   FaultInjectingTransport transport(&inner, plan);
-  Coordinator coordinator(&transport, DistOptions{});
+  // 4-row windows make 48-row drains, so dozens of messages race the
+  // delays (at the default the query sends eight).
+  DistOptions options;
+  options.window_rows = 4;
+  Coordinator coordinator(&transport, options);
   ASSERT_TRUE(coordinator.Connect().ok());
   const TopKResult result =
       coordinator.ExecuteTput(TopKQuery{10, &sum}).ValueOrDie();
   EXPECT_EQ(result.completion, Completion::kExact);
   EXPECT_GT(coordinator.stats().hedges, 0u);
   EXPECT_GT(coordinator.stats().hedge_wins, 0u);
+}
+
+TEST(DistFaultTest, TwoStragglersDoNotSwitchHedgingOff) {
+  // dTPUT with 1-row windows and k = 60 sends owner 0 sixty phase-1 windows
+  // in a row. Calls 30 and 40 are delayed 5 ms and so are their hedges
+  // (calls 31 and 41), so the primaries win and two 5 ms samples enter the
+  // owner's latency ring. The hedge timer reads the ring's p95, which two
+  // samples of ~50 do not reach: the third delayed window (call 50) is
+  // still hedged, and the hedge wins. A p99 timer (the ring's second-largest
+  // sample) would have risen to 3 x 5 ms and let it run late.
+  const Database db = MakeUniformDatabase(2000, 2, 5);
+  SumScorer sum;
+  const TopKQuery query{60, &sum};
+  const TopKResult reference =
+      MakeAlgorithm(AlgorithmKind::kTput)->Execute(db, query).ValueOrDie();
+  InProcessTransport inner = InProcessTransport::PerListOwners(db);
+  ScriptedDelayTransport transport(&inner, /*owner=*/0, {30, 31, 40, 41, 50},
+                                   /*delay_ms=*/5.0);
+  DistOptions options;
+  options.window_rows = 1;
+  Coordinator coordinator(&transport, options);
+  ASSERT_TRUE(coordinator.Connect().ok());
+  ExpectExactParity(coordinator.ExecuteTput(query).ValueOrDie(), reference);
+  EXPECT_EQ(coordinator.stats().hedges, 3u);
+  EXPECT_EQ(coordinator.stats().hedge_wins, 1u);
 }
 
 TEST(DistFaultTest, OwnerDeathDegradesToCertifiedAnswer) {
@@ -524,14 +751,14 @@ TEST(DistFaultTest, OwnerDeathDegradesToCertifiedAnswer) {
     InProcessTransport inner = InProcessTransport::PerListOwners(db);
     TransportFaultPlan plan;
     plan.kill_owner = 2;
-    plan.kill_after_messages = 4;
+    plan.kill_after_messages = tput ? 2 : 4;
     FaultInjectingTransport transport(&inner, plan);
     Coordinator coordinator(&transport, DistOptions{});
     ASSERT_TRUE(coordinator.Connect().ok());
-    // Connect's handshake consumed one of owner 2's four messages; the
-    // query spends the rest mid-run (dBPA: its first window, first lookup
-    // batch and second window, so the second lookup round finds it dead;
-    // dTPUT: its phase-1 window and the first drains).
+    // Connect's handshake consumed one of owner 2's messages; the query
+    // spends the rest mid-run. dBPA: its first window, first lookup batch
+    // and second window, so the second lookup round finds it dead. dTPUT:
+    // its phase-1 window, so its drain finds it dead.
     const TopKResult result =
         (tput ? coordinator.ExecuteTput(query) : coordinator.ExecuteBpa(query))
             .ValueOrDie();
@@ -609,66 +836,18 @@ TEST(DistFaultTest, AllOwnersDeadStillReturnsCertified) {
   plan.death_min_messages = 2;
   plan.death_max_messages = 8;
   FaultInjectingTransport transport(&inner, plan);
-  Coordinator coordinator(&transport, DistOptions{});
+  // 4-row windows make 48-row drains, so each owner serves enough of the
+  // query's messages to reach its death point (at the default each serves
+  // three).
+  DistOptions options;
+  options.window_rows = 4;
+  Coordinator coordinator(&transport, options);
   ASSERT_TRUE(coordinator.Connect().ok());
   const TopKResult result =
       coordinator.ExecuteTput(TopKQuery{5, &sum}).ValueOrDie();
   EXPECT_EQ(result.completion, Completion::kListFailure);
   EXPECT_GE(result.theta, 1.0);
   EXPECT_GE(result.dead_lists, 1u);
-}
-
-// ---- Replica groups: parity, failover ladder, health tracking ----
-
-// Shared check: `dist` is byte-identical to the single-node reference —
-// same items, same scores (same tie order), same stop depth, same logical
-// access counts — and certified exact.
-void ExpectExactParity(const TopKResult& dist, const TopKResult& reference) {
-  ASSERT_EQ(dist.items.size(), reference.items.size());
-  for (size_t i = 0; i < reference.items.size(); ++i) {
-    EXPECT_EQ(dist.items[i].item, reference.items[i].item) << "rank " << i;
-    EXPECT_DOUBLE_EQ(dist.items[i].score, reference.items[i].score);
-  }
-  EXPECT_EQ(dist.stop_position, reference.stop_position);
-  EXPECT_EQ(dist.stats.sorted_accesses, reference.stats.sorted_accesses);
-  EXPECT_EQ(dist.stats.random_accesses, reference.stats.random_accesses);
-  EXPECT_EQ(dist.completion, Completion::kExact);
-  EXPECT_DOUBLE_EQ(dist.theta, 1.0);
-}
-
-// Shared check: a degraded answer's certificate holds against Naive — every
-// returned score is a lower bound of the item's true score, no returned item
-// sits below kth_lower_bound, and no unreturned item exceeds
-// unreturned_upper_bound or θ times kth_lower_bound.
-void ExpectCertifiedAgainstNaive(const Database& db, const Scorer& scorer,
-                                 const TopKResult& result) {
-  const double eps = 1e-9;
-  EXPECT_NE(result.completion, Completion::kExact);
-  EXPECT_GE(result.theta, 1.0);
-  std::vector<Score> row(db.num_lists());
-  const auto true_score = [&](ItemId item) {
-    for (size_t j = 0; j < db.num_lists(); ++j) {
-      row[j] = db.list(j).Lookup(item).score;
-    }
-    return scorer.Combine(row.data(), row.size());
-  };
-  std::vector<bool> returned(db.num_items(), false);
-  for (const ResultItem& item : result.items) {
-    returned[item.item] = true;
-    EXPECT_LE(item.score, true_score(item.item) + eps) << "item " << item.item;
-    EXPECT_GE(true_score(item.item) + eps, result.kth_lower_bound);
-  }
-  for (ItemId item = 0; item < db.num_items(); ++item) {
-    if (returned[item]) {
-      continue;
-    }
-    EXPECT_LE(true_score(item), result.unreturned_upper_bound + eps)
-        << "item " << item;
-    if (result.kth_lower_bound > 0.0) {
-      EXPECT_LE(true_score(item), result.theta * result.kth_lower_bound + eps)
-          << "item " << item;
-    }
-  }
 }
 
 // ---- One query lifecycle: the single-node start and finish ----
@@ -799,6 +978,8 @@ TEST(DistLifecycleTest, OptionErrorsSurfaceAtConnect) {
       coordinator.ExecuteTput(TopKQuery{3, &sum}).status().IsInvalid());
 }
 
+// ---- Replica groups: parity, failover ladder, health tracking ----
+
 TEST(DistReplicaTest, FaultFreeR2MatchesSingleNodeExactly) {
   const Database db = MakeUniformDatabase(500, 4, 3);
   SumScorer sum;
@@ -883,6 +1064,13 @@ TEST(DistReplicaTest, MidQueryReplicaKillStaysExact) {
     DistOptions options;
     options.replication_factor = 2;
     options.governor.deadline_ms = 500.0;
+    if (tput) {
+      // At the default dTPUT sends list 2 only three requests (a window, a
+      // drain, a lookup batch): hedge wins rescue each and the breaker opens
+      // on the last. 4-row windows give it three phase-1 windows, so the
+      // breaker opens before the drain, which must re-route.
+      options.window_rows = 4;
+    }
     Coordinator coordinator(&transport, options);
     ASSERT_TRUE(coordinator.Connect().ok());
     const TopKResult result =
@@ -905,6 +1093,8 @@ TEST(DistReplicaTest, CursorHandoffExactAtEveryKillPoint) {
   // Sweep the death point across the query so the handoff lands on every
   // request the primary serves — both windows and both lookup batches. The
   // survivor resumes the sorted cursor at the exact position every time.
+  // Hedging is off, so no hedge to the sibling rescues a request to the dead
+  // primary: every handoff is the failover ladder's breaker re-route.
   const Database db = MakeUniformDatabase(400, 4, 9);
   SumScorer sum;
   const TopKQuery query{8, &sum};
@@ -924,18 +1114,69 @@ TEST(DistReplicaTest, CursorHandoffExactAtEveryKillPoint) {
     DistOptions options;
     options.replication_factor = 2;
     options.governor.deadline_ms = 500.0;
+    options.hedging = false;
     Coordinator coordinator(&transport, options);
     ASSERT_TRUE(coordinator.Connect().ok());
     const TopKResult result = coordinator.ExecuteBpa(query).ValueOrDie();
     ExpectExactParity(result, reference);
     EXPECT_EQ(coordinator.stats().groups_lost, 0u);
-    // The kill point fell inside the query and the sibling took over: by a
-    // routing failover once the breaker opened (kill point 1), by hedge wins
-    // against the dead primary (2-4).
+    // The kill point fell inside the query and the breaker re-routed the
+    // list to the sibling.
     EXPECT_GE(transport.fault_stats().dead_owners, 1u);
-    EXPECT_GE(coordinator.stats().replica_failovers +
-                  coordinator.stats().hedge_wins,
-              1u);
+    EXPECT_GE(coordinator.stats().replica_failovers, 1u);
+  }
+}
+
+TEST(DistReplicaTest, DrainHandoffResumesAtTheExactPosition) {
+  // dTPUT with 4-row windows: list 1 reads two phase-1 windows, then drains
+  // in 48-row messages. Its primary dies after the handshake, both windows
+  // and one to three drains, so the kill lands between two drains. With
+  // hedging off the breaker re-routes the list, and the sibling's first
+  // drain starts at the row after the primary's last one.
+  const Database db = MakeUniformDatabase(400, 4, 9);
+  SumScorer sum;
+  const TopKQuery query{8, &sum};
+  const TopKResult reference =
+      MakeAlgorithm(AlgorithmKind::kTput)->Execute(db, query).ValueOrDie();
+  const size_t primary = InProcessTransport::OwnerIndex(4, 1, 0);
+
+  for (const uint64_t drains_served : {1u, 2u, 3u}) {
+    SCOPED_TRACE(drains_served);
+    InProcessTransport inner = InProcessTransport::PerListOwners(db, 2);
+    TransportFaultPlan plan;
+    plan.kill_owner = primary;
+    plan.kill_after_messages = 3 + drains_served;
+    FaultInjectingTransport faults(&inner, plan);
+    LaneTransport wire(&faults, /*ms_per_owner=*/0.0);
+    DistOptions options;
+    options.replication_factor = 2;
+    options.window_rows = 4;
+    options.hedging = false;
+    Coordinator coordinator(&wire, options);
+    ASSERT_TRUE(coordinator.Connect().ok());
+    const TopKResult result = coordinator.ExecuteTput(query).ValueOrDie();
+    ExpectExactParity(result, reference);
+    EXPECT_GE(faults.fault_stats().dead_owners, 1u);
+    EXPECT_GE(coordinator.stats().replica_failovers, 1u);
+    EXPECT_EQ(coordinator.stats().groups_lost, 0u);
+
+    uint64_t primary_drains = 0;
+    uint64_t sibling_drains = 0;
+    Position resume = 0;
+    for (const LaneTransport::Exchange& exchange : wire.log()) {
+      if (exchange.type != MessageType::kDrain || exchange.list_index != 1 ||
+          !exchange.ok) {
+        continue;
+      }
+      if (exchange.owner == primary) {
+        ++primary_drains;
+        resume = exchange.start + static_cast<Position>(exchange.rows);
+      } else if (sibling_drains++ == 0) {
+        EXPECT_EQ(exchange.start, resume);
+      }
+    }
+    EXPECT_EQ(primary_drains, drains_served);
+    EXPECT_GE(sibling_drains, 1u);
   }
 }
 
@@ -1018,6 +1259,12 @@ TEST(DistReplicaTest, WholeGroupDeathDegradesToCertifiedAnswer) {
     FaultInjectingTransport transport(&inner, plan);
     DistOptions options;
     options.replication_factor = 2;
+    if (tput) {
+      // At the default dTPUT sends list 1 only a window and a drain, so no
+      // third request finds the group dead. 4-row windows give it three
+      // phase-1 windows.
+      options.window_rows = 4;
+    }
     Coordinator coordinator(&transport, options);
     ASSERT_TRUE(coordinator.Connect().ok());
     const TopKResult result =
@@ -1119,66 +1366,86 @@ TEST(DistMultiListOwnerTest, ReplicaDeathOfTwoListOwnerStaysExact) {
 }
 
 TEST(DistReplicaTest, ChaosSoakExactOrCertifiedUnderDeadline) {
-  // Seeded chaos across drops, delays, flapping deaths and both replication
-  // levels: every query must return inside the governor deadline with a
-  // certified answer, and any run that claims exactness must BE exact.
+  // Seeded chaos across drops, delays, deaths, both replication levels and
+  // both engines: every query must return inside the governor deadline with
+  // a certified answer, and any run that claims exactness must BE exact.
+  // Odd seeds' deaths flap: a down owner revives inside the retry budget,
+  // so the coordinator sees failures but declares no death. Even seeds'
+  // deaths are permanent, and one list's first replica dies after the
+  // handshake and one request, so deaths are declared, replicas fail over
+  // and unreplicated lists are lost.
   const Database db = MakeUniformDatabase(600, 4, 29);
   SumScorer sum;
   const TopKQuery query{10, &sum};
   AlgorithmOptions memoized;
   memoized.memoize_seen_items = true;
-  const TopKResult reference =
+  const TopKResult bpa_reference =
       MakeAlgorithm(AlgorithmKind::kBpa, memoized)->Execute(db, query)
           .ValueOrDie();
+  const TopKResult tput_reference =
+      MakeAlgorithm(AlgorithmKind::kTput)->Execute(db, query).ValueOrDie();
 
-  uint64_t dead_owners = 0;
-  uint64_t coordinator_reactions = 0;
-  for (const size_t replicas : {size_t{1}, size_t{2}}) {
-    for (uint64_t seed = 1; seed <= 6; ++seed) {
-      SCOPED_TRACE(::testing::Message()
-                   << "replicas " << replicas << " seed " << seed);
-      InProcessTransport inner =
-          InProcessTransport::PerListOwners(db, replicas);
-      TransportFaultPlan plan;
-      plan.seed = seed;
-      plan.drop_rate = 0.05;
-      plan.delay_rate = 0.3;
-      plan.delay_ms = 2.0;
-      plan.owner_death_rate = 0.15;
-      plan.death_min_messages = 2;
-      plan.death_max_messages = 6;  // an owner serves ~5 per query
-      plan.flap_revive_calls = 2;
-      FaultInjectingTransport transport(&inner, plan);
-      DistOptions options;
-      options.replication_factor = static_cast<uint32_t>(replicas);
-      options.governor.deadline_ms = 250.0;
-      Coordinator coordinator(&transport, options);
-      ASSERT_TRUE(coordinator.Connect().ok());
-      const Result<TopKResult> run = coordinator.ExecuteBpa(query);
-      ASSERT_TRUE(run.ok()) << run.status().ToString();
-      const TopKResult& result = run.ValueOrDie();
+  for (const bool tput : {false, true}) {
+    uint64_t dead_owners = 0;
+    uint64_t owner_deaths = 0;
+    uint64_t replica_failovers = 0;
+    uint64_t certified_inexact = 0;
+    for (const size_t replicas : {size_t{1}, size_t{2}}) {
+      for (uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(::testing::Message()
+                     << (tput ? "dTPUT" : "dBPA") << " replicas " << replicas
+                     << " seed " << seed);
+        InProcessTransport inner =
+            InProcessTransport::PerListOwners(db, replicas);
+        TransportFaultPlan plan;
+        plan.seed = seed;
+        plan.drop_rate = 0.05;
+        plan.delay_rate = 0.3;
+        plan.delay_ms = 2.0;
+        plan.owner_death_rate = 0.15;
+        plan.death_min_messages = 2;
+        plan.death_max_messages = 6;  // an owner serves ~5 per query
+        if (seed % 2 == 0) {
+          plan.kill_owner = InProcessTransport::OwnerIndex(4, seed / 2 % 4, 0);
+          plan.kill_after_messages = 2;
+        } else {
+          plan.flap_revive_calls = 2;
+        }
+        FaultInjectingTransport transport(&inner, plan);
+        DistOptions options;
+        options.replication_factor = static_cast<uint32_t>(replicas);
+        options.governor.deadline_ms = 250.0;
+        Coordinator coordinator(&transport, options);
+        ASSERT_TRUE(coordinator.Connect().ok());
+        const Result<TopKResult> run = tput ? coordinator.ExecuteTput(query)
+                                            : coordinator.ExecuteBpa(query);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        const TopKResult& result = run.ValueOrDie();
+        const DistStats& stats = coordinator.stats();
 
-      EXPECT_GE(result.theta, 1.0);
-      EXPECT_LT(coordinator.stats().virtual_ms, 2.0 * 250.0);
-      dead_owners += transport.fault_stats().dead_owners;
-      coordinator_reactions += coordinator.stats().owner_deaths +
-                               coordinator.stats().replica_failovers +
-                               coordinator.stats().groups_lost +
-                               coordinator.stats().breaker_opens;
-      if (result.completion == Completion::kExact) {
-        ExpectExactParity(result, reference);
-      } else {
         EXPECT_GE(result.theta, 1.0);
-        EXPECT_TRUE(std::isfinite(result.unreturned_upper_bound) ||
-                    result.items.empty());
+        EXPECT_LT(stats.virtual_ms, 2.0 * 250.0);
+        dead_owners += transport.fault_stats().dead_owners;
+        owner_deaths += stats.owner_deaths;
+        replica_failovers += stats.replica_failovers;
+        if (result.completion == Completion::kExact) {
+          ExpectExactParity(result, tput ? tput_reference : bpa_reference);
+        } else {
+          ++certified_inexact;
+          ExpectCertifiedAgainstNaive(db, sum, result);
+          EXPECT_TRUE(std::isfinite(result.unreturned_upper_bound) ||
+                      result.items.empty());
+        }
       }
     }
+    // Over the seeds the deaths landed inside queries, and the coordinator
+    // declared deaths, failed over and certified a degraded answer.
+    SCOPED_TRACE(tput ? "dTPUT" : "dBPA");
+    EXPECT_GE(dead_owners, 1u);
+    EXPECT_GE(owner_deaths, 1u);
+    EXPECT_GE(replica_failovers, 1u);
+    EXPECT_GE(certified_inexact, 1u);
   }
-  // Over the seeds the deaths landed inside queries and the coordinator
-  // reacted. Flapping owners revive within the retry budget here, so no
-  // death is declared; the reaction is a breaker opening.
-  EXPECT_GE(dead_owners, 1u);
-  EXPECT_GE(coordinator_reactions, 1u);
 }
 
 TEST(DistReplicaTest, ConnectRejectsMismatchedReplicaCounts) {
@@ -1350,7 +1617,7 @@ TEST(DistWireTimelineTest, FaultFreeTotalsArePinned) {
   SumScorer sum;
   const TopKQuery query{500, &sum};
   const WireTotals bpa{104, 104, 22868, 105212, 26, 1.3000000000000005};
-  const WireTotals tput{83, 83, 6124, 73568, 3, 1.0500000000000003};
+  const WireTotals tput{40, 40, 5436, 72880, 3, 0.49999999999999994};
   for (const uint32_t replicas : {1u, 2u}) {
     SCOPED_TRACE(replicas);
     InProcessTransport transport =
@@ -1392,7 +1659,7 @@ TEST(DistWireTimelineTest, SeededDelayDropRunIsPinned) {
     const uint64_t want_hedge_wins = tput ? 0 : 3;
     const uint64_t want_timeouts = 0;
     const double want_virtual_ms =
-        tput ? 6.0499999999999963 : 4.299999999999998;
+        tput ? 5.4999999999999982 : 4.299999999999998;
     EXPECT_EQ(stats.retries, want_retries);
     EXPECT_EQ(stats.hedges, want_hedges);
     EXPECT_EQ(stats.hedge_wins, want_hedge_wins);
@@ -1405,6 +1672,8 @@ TEST(DistWireTimelineTest, SeededRetryRunIsPinned) {
   // At a 10% drop rate some attempts lose both the primary and its hedge, so
   // the retry, backoff and timeout part of the timeline gets an exact pin
   // too — for both engines at R = 1 and R = 2, and every answer stays exact.
+  // (dTPUT at R = 1 sends 47 messages and its hedges rescue every loss, so
+  // its pin is zero retries.)
   const Database db = MakeUniformDatabase(2000, 4, 77);
   SumScorer sum;
   const TopKQuery query{500, &sum};
@@ -1417,8 +1686,8 @@ TEST(DistWireTimelineTest, SeededRetryRunIsPinned) {
   };
   // [replicas - 1][tput]
   const RetryPin pins[2][2] = {
-      {{5, 5, 11, 10, 41.835826074894783}, {1, 1, 11, 10, 12.871854601567705}},
-      {{7, 7, 10, 8, 50.17286167786196}, {2, 2, 10, 7, 14.376152353926143}},
+      {{4, 4, 12, 11, 39.483731793648552}, {0, 0, 7, 7, 6.6500000000000004}},
+      {{6, 6, 12, 9, 47.61453424174681}, {1, 1, 6, 4, 8.2218546015677063}},
   };
   for (const uint32_t replicas : {1u, 2u}) {
     InProcessTransport inner = InProcessTransport::PerListOwners(db, replicas);
@@ -1451,53 +1720,6 @@ TEST(DistWireTimelineTest, SeededRetryRunIsPinned) {
 }
 
 // ---- Lane clock ----
-
-// A transport decorator that slows every exchange by its owner's own fixed
-// latency and logs the query's exchanges (the handshake's are left out), so
-// a test can rebuild the virtual timeline the coordinator should charge.
-class LaneTransport : public Transport {
- public:
-  struct Exchange {
-    MessageType type;
-    uint32_t list_index;
-    double latency_ms;
-  };
-
-  LaneTransport(Transport* inner, double ms_per_owner)
-      : inner_(inner), ms_per_owner_(ms_per_owner) {}
-
-  size_t num_owners() const override { return inner_->num_owners(); }
-
-  Status Call(size_t owner, const Request& request, Reply* reply,
-              CallResult* result) override {
-    const Status status = inner_->Call(owner, request, reply, result);
-    result->latency_ms += ms_per_owner_ * static_cast<double>(owner + 1);
-    if (request.type != MessageType::kHello) {
-      log_.push_back({request.type, request.list_index, result->latency_ms});
-    }
-    if (request.type == MessageType::kRandomLookup) {
-      for (const ItemId item : request.items) {
-        lookups_.insert(uint64_t{request.list_index} << 32 | item);
-      }
-    }
-    return status;
-  }
-
-  const std::vector<Exchange>& log() const { return log_; }
-  /// Distinct (list, item) pairs sent in lookups: what the coordinator
-  /// asked for, with hedged and retried copies counted once.
-  size_t distinct_lookups() const { return lookups_.size(); }
-  void Clear() {
-    log_.clear();
-    lookups_.clear();
-  }
-
- private:
-  Transport* inner_;
-  double ms_per_owner_;
-  std::vector<Exchange> log_;
-  std::set<uint64_t> lookups_;
-};
 
 TEST(DistLaneClockTest, VirtualTimeIsTheLongestLanePerRound) {
   // Fault-free, the coordinator's rounds are the runs of same-type requests
