@@ -212,29 +212,42 @@ Status Coordinator::Send(size_t owner, const Request& request, Reply* reply,
   return status;
 }
 
-double Coordinator::HedgeTimeoutMs(size_t owner) const {
-  const size_t count =
-      std::min<size_t>(latency_count_[owner], kLatencyRing);
-  if (count == 0) {
-    return options_.hedge_floor_ms;
+void Coordinator::LatencyRing::Record(double latency_ms) {
+  const size_t held = std::min<size_t>(count, kSamples);
+  double* end = sorted + held;
+  if (count >= kSamples) {
+    // Evict the oldest sample from the sorted copy; it is present, so
+    // lower_bound lands on it.
+    double* oldest = std::lower_bound(sorted, end, arrival[count % kSamples]);
+    std::copy(oldest + 1, end, oldest);
+    --end;
   }
-  latency_scratch_.assign(latency_ring_.begin() + owner * kLatencyRing,
-                          latency_ring_.begin() + owner * kLatencyRing + count);
+  double* at = std::upper_bound(sorted, end, latency_ms);
+  std::copy_backward(at, end, end + 1);
+  *at = latency_ms;
+  arrival[count % kSamples] = latency_ms;
+  ++count;
+}
+
+double Coordinator::LatencyRing::P95() const {
   // p95, not p99: in a 64-sample ring p99 is the second-largest sample, so
   // two delayed exchanges would lift the timer past every later delay and
   // switch hedging off (Dean & Barroso, "The Tail at Scale", hedge at p95).
-  const size_t p95 = static_cast<size_t>(
-      static_cast<double>(count - 1) * 0.95);
-  std::nth_element(latency_scratch_.begin(), latency_scratch_.begin() + p95,
-                   latency_scratch_.end());
+  const size_t held = std::min<size_t>(count, kSamples);
+  return sorted[static_cast<size_t>(static_cast<double>(held - 1) * 0.95)];
+}
+
+double Coordinator::HedgeTimeoutMs(size_t owner) const {
+  const LatencyRing& ring = latency_rings_[owner];
+  if (ring.count == 0) {
+    return options_.hedge_floor_ms;
+  }
   return std::max(options_.hedge_floor_ms,
-                  options_.hedge_multiplier * latency_scratch_[p95]);
+                  options_.hedge_multiplier * ring.P95());
 }
 
 void Coordinator::RecordLatency(size_t owner, double latency_ms) {
-  latency_ring_[owner * kLatencyRing + latency_count_[owner] % kLatencyRing] =
-      latency_ms;
-  ++latency_count_[owner];
+  latency_rings_[owner].Record(latency_ms);
   // The same successful samples feed the health tracker's EWMA — the
   // healthiest-replica routing signal.
   ReplicaHealth& health = health_[owner];
@@ -551,8 +564,10 @@ void Coordinator::ResetQueryState() {
   // (the transport's schedule decides what actually answers), mirroring the
   // per-query Arm() of the access-level fault decorator.
   owner_alive_.assign(owners, 1);
-  latency_ring_.assign(owners * kLatencyRing, 0.0);
-  latency_count_.assign(owners, 0);
+  latency_rings_.resize(owners);
+  for (LatencyRing& ring : latency_rings_) {
+    ring.count = 0;
+  }
   // Health starts every query fresh too: breakers closed, EWMA unseen,
   // every list routed to its lowest-indexed replica.
   health_.assign(owners, ReplicaHealth{});

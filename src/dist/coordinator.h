@@ -235,6 +235,21 @@ class Coordinator {
     bool ewma_set = false;
   };
 
+  /// The last kSamples successful exchange latencies of one owner, kept
+  /// both in arrival order (to evict the oldest) and sorted, so the hedge
+  /// timer reads its percentile in O(1) instead of selecting it per attempt.
+  struct LatencyRing {
+    static constexpr size_t kSamples = 64;
+    double arrival[kSamples];
+    double sorted[kSamples];
+    uint32_t count = 0;  ///< samples recorded, including evicted ones
+
+    void Record(double latency_ms);
+    /// The p95 sample: in a full ring the 60th of 64 in ascending order.
+    /// Requires count > 0.
+    double P95() const;
+  };
+
   static constexpr size_t kNoList = static_cast<size_t>(-1);
 
   /// Fresh DistStats, backoff draws, owner liveness, latency rings and
@@ -329,9 +344,7 @@ class Coordinator {
   uint64_t health_counter_ = 0;              // jitter draw counter
 
   // Per-owner latency rings feeding the p95 hedge timeout.
-  static constexpr size_t kLatencyRing = 64;
-  std::vector<double> latency_ring_;  // owner-major, kLatencyRing samples
-  std::vector<uint32_t> latency_count_;
+  std::vector<LatencyRing> latency_rings_;
 
   // RPC scratch.
   Request request_;
@@ -339,7 +352,6 @@ class Coordinator {
   Reply hedge_reply_;
   Request probe_request_;
   Reply probe_reply_;
-  mutable std::vector<double> latency_scratch_;
 };
 
 }  // namespace topk
