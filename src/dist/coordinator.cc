@@ -237,8 +237,9 @@ double Coordinator::LatencyRing::P95() const {
   return sorted[static_cast<size_t>(static_cast<double>(held - 1) * 0.95)];
 }
 
-double Coordinator::HedgeTimeoutMs(size_t owner) const {
-  const LatencyRing& ring = latency_rings_[owner];
+double Coordinator::HedgeTimeoutMs(size_t owner, MessageType type) const {
+  const LatencyRing& ring =
+      latency_rings_[owner * kMessageTypeCount + static_cast<size_t>(type)];
   if (ring.count == 0) {
     return options_.hedge_floor_ms;
   }
@@ -246,8 +247,10 @@ double Coordinator::HedgeTimeoutMs(size_t owner) const {
                   options_.hedge_multiplier * ring.P95());
 }
 
-void Coordinator::RecordLatency(size_t owner, double latency_ms) {
-  latency_rings_[owner].Record(latency_ms);
+void Coordinator::RecordLatency(size_t owner, MessageType type,
+                                double latency_ms) {
+  latency_rings_[owner * kMessageTypeCount + static_cast<size_t>(type)]
+      .Record(latency_ms);
   // The same successful samples feed the health tracker's EWMA — the
   // healthiest-replica routing signal.
   ReplicaHealth& health = health_[owner];
@@ -323,7 +326,7 @@ void Coordinator::SendProbe(size_t owner) {
       status.ok() ? outcome.latency_ms : options_.rpc_deadline_ms;
   stats_.virtual_ms += latency_ms;
   if (status.ok()) {
-    RecordLatency(owner, latency_ms);
+    RecordLatency(owner, MessageType::kProbe, latency_ms);
   } else {
     ++stats_.timeouts;
   }
@@ -425,7 +428,7 @@ Status Coordinator::Attempt(size_t owner, size_t hedge_owner,
   // of the loss when its timer fires.
   const double primary_ms =
       status.ok() ? primary.latency_ms : options_.rpc_deadline_ms;
-  const double hedge_after = HedgeTimeoutMs(owner);
+  const double hedge_after = HedgeTimeoutMs(owner, request.type);
   if (!options_.hedging || primary_ms <= hedge_after) {
     RecordOutcome(owner, status.ok());
     *latency_ms = primary_ms;
@@ -451,7 +454,7 @@ Status Coordinator::Attempt(size_t owner, size_t hedge_owner,
         ++stats_.duplicate_replies;  // the slower primary reply still lands
       }
       if (hedge_owner != owner) {
-        RecordLatency(hedge_owner, hedge.latency_ms);
+        RecordLatency(hedge_owner, request.type, hedge.latency_ms);
       }
       std::swap(*reply, hedge_reply_);
       *latency_ms = hedge_ms;
@@ -486,7 +489,7 @@ Status Coordinator::OwnerRpc(size_t owner, size_t list, const Request& request,
     last = Attempt(owner, hedge_owner, request, reply, &latency_ms);
     stats_.virtual_ms += latency_ms;
     if (last.ok()) {
-      RecordLatency(owner, latency_ms);
+      RecordLatency(owner, request.type, latency_ms);
       return last;
     }
     ++stats_.timeouts;
@@ -564,7 +567,7 @@ void Coordinator::ResetQueryState() {
   // (the transport's schedule decides what actually answers), mirroring the
   // per-query Arm() of the access-level fault decorator.
   owner_alive_.assign(owners, 1);
-  latency_rings_.resize(owners);
+  latency_rings_.resize(owners * kMessageTypeCount);
   for (LatencyRing& ring : latency_rings_) {
     ring.count = 0;
   }

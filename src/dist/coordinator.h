@@ -12,8 +12,9 @@
 //    with a bounded retry budget and deterministic jittered exponential
 //    backoff (all charged as virtual milliseconds, on the lane of the list
 //    the RPC serves, against the query governor's deadline);
-//  * straggler hedging: when an exchange outlasts a p95-derived per-owner
-//    hedge timeout, the request is re-issued and the earlier reply wins
+//  * straggler hedging: when an exchange outlasts a p95-derived hedge
+//    timeout, kept per owner and message type, the request is re-issued and
+//    the earlier reply wins
 //    (duplicates are deduped and their bytes counted, as an at-least-once
 //    transport forces);
 //  * replica groups: with DistOptions::replication_factor = R every list is
@@ -95,9 +96,10 @@ struct DistOptions {
   double backoff_base_ms = 0.5;
   uint64_t backoff_seed = 1;
 
-  /// Straggler hedging: when an exchange outlasts the owner's hedge timeout
-  /// — hedge_multiplier times the owner's observed p95 latency, never below
-  /// hedge_floor_ms — the request is re-issued and the earlier reply wins.
+  /// Straggler hedging: when an exchange outlasts its hedge timeout —
+  /// hedge_multiplier times the observed p95 latency of the owner's
+  /// exchanges of the same message type, never below hedge_floor_ms — the
+  /// request is re-issued and the earlier reply wins.
   bool hedging = true;
   double hedge_floor_ms = 1.0;
   double hedge_multiplier = 3.0;
@@ -235,7 +237,9 @@ class Coordinator {
     bool ewma_set = false;
   };
 
-  /// The last kSamples successful exchange latencies of one owner, kept
+  /// The last kSamples successful latencies of one owner's exchanges of one
+  /// MessageType — a drain's reply is many windows long, so drains do not
+  /// share a timer with windows or lookups. Kept
   /// both in arrival order (to evict the oldest) and sorted, so the hedge
   /// timer reads its percentile in O(1) instead of selecting it per attempt.
   struct LatencyRing {
@@ -291,8 +295,10 @@ class Coordinator {
   /// answers or the whole group is dead (Unavailable → the degrade path).
   Status ListRpc(size_t list, const Request& request, Reply* reply);
 
-  double HedgeTimeoutMs(size_t owner) const;
-  void RecordLatency(size_t owner, double latency_ms);
+  /// hedge_multiplier times the p95 of the owner's `type` exchanges, never
+  /// below hedge_floor_ms.
+  double HedgeTimeoutMs(size_t owner, MessageType type) const;
+  void RecordLatency(size_t owner, MessageType type, double latency_ms);
   void KillOwner(size_t owner);
 
   // --- replica health (inert at replication_factor = 1) ---
@@ -343,7 +349,8 @@ class Coordinator {
   std::vector<uint8_t> group_lost_counted_;  // list -> groups_lost tallied
   uint64_t health_counter_ = 0;              // jitter draw counter
 
-  // Per-owner latency rings feeding the p95 hedge timeout.
+  // Latency rings feeding the p95 hedge timeout: owner-major, one per
+  // MessageType.
   std::vector<LatencyRing> latency_rings_;
 
   // RPC scratch.

@@ -42,6 +42,7 @@ enum class MessageType : uint8_t {
   kRandomLookup = 3,  ///< batched random access for a list's scores/positions
   kProbe = 4,         ///< health probe: empty OK reply proves liveness
 };
+inline constexpr size_t kMessageTypeCount = 5;
 
 /// One list advertised by an owner's Hello reply: enough catalog metadata for
 /// the coordinator to derive the score floor, seed its cursor bounds

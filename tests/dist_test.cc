@@ -1415,6 +1415,13 @@ TEST(DistReplicaTest, ChaosSoakExactOrCertifiedUnderDeadline) {
         DistOptions options;
         options.replication_factor = static_cast<uint32_t>(replicas);
         options.governor.deadline_ms = 250.0;
+        if (tput) {
+          // 4-row windows and 48-row drains: at the default a list's three
+          // dTPUT requests end before the dead replica's failures open its
+          // breaker (hedges to the sibling rescue each one), so no dTPUT run
+          // would fail over.
+          options.window_rows = 4;
+        }
         Coordinator coordinator(&transport, options);
         ASSERT_TRUE(coordinator.Connect().ok());
         const Result<TopKResult> run = tput ? coordinator.ExecuteTput(query)
@@ -1686,8 +1693,8 @@ TEST(DistWireTimelineTest, SeededRetryRunIsPinned) {
   };
   // [replicas - 1][tput]
   const RetryPin pins[2][2] = {
-      {{4, 4, 12, 11, 39.483731793648552}, {0, 0, 7, 7, 6.6500000000000004}},
-      {{6, 6, 12, 9, 47.61453424174681}, {1, 1, 6, 4, 8.2218546015677063}},
+      {{2, 2, 14, 13, 30.076152353926151}, {0, 0, 7, 7, 4.5}},
+      {{4, 4, 14, 10, 30.665628977963987}, {1, 1, 7, 5, 9.2218546015677063}},
   };
   for (const uint32_t replicas : {1u, 2u}) {
     InProcessTransport inner = InProcessTransport::PerListOwners(db, replicas);
