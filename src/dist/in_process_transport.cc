@@ -23,7 +23,13 @@ Status InProcessTransport::Call(size_t owner, const Request& request,
     return Status::Invalid("InProcessTransport: owner ", owner,
                            " outside [0, ", owners_.size(), ")");
   }
-  return owners_[owner].Serve(request, reply);
+  EncodeRequest(request, &request_frame_);
+  Status decoded = DecodeRequest(request_frame_, &served_request_);
+  if (!decoded.ok()) {
+    return decoded;
+  }
+  owners_[owner].Serve(served_request_, &reply_frame_);
+  return DecodeReply(reply_frame_, reply);
 }
 
 }  // namespace topk

@@ -1,11 +1,17 @@
 // Copyright (c) the topk-bpa authors. Licensed under the Apache License 2.0.
 //
 // InProcessTransport: the baseline Transport — owners live in the same
-// process and every Call() is a direct ListOwner::Serve with a fixed small
-// virtual latency per exchange. It is the fault-free reference the
-// FaultInjectingTransport decorates, and the parity baseline for the
+// process, and every Call() round-trips through the wire codec
+// (dist/wire_codec.h) with a fixed small virtual latency per exchange: the
+// request is encoded and decoded, the owner serves into an encoded reply
+// frame, and that frame is decoded into the caller's Reply, so the bytes the
+// coordinator counts are real frame lengths. It is the fault-free reference
+// the FaultInjectingTransport decorates, and the parity baseline for the
 // acceptance bar (fault-free distributed runs must be byte-identical to the
 // single-node engine).
+//
+// The frames are scratch reused across calls, so a warmed Call() allocates
+// nothing — and one transport serves one coordinator thread at a time.
 
 #ifndef TOPK_DIST_IN_PROCESS_TRANSPORT_H_
 #define TOPK_DIST_IN_PROCESS_TRANSPORT_H_
@@ -15,6 +21,7 @@
 
 #include "dist/list_owner.h"
 #include "dist/transport.h"
+#include "dist/wire_codec.h"
 #include "lists/database.h"
 
 namespace topk {
@@ -55,6 +62,11 @@ class InProcessTransport : public Transport {
 
  private:
   std::vector<ListOwner> owners_;
+  // Call() scratch: the request frame, the request as the owner decodes
+  // it, and the owner's reply frame.
+  WireFrame request_frame_;
+  Request served_request_;
+  WireFrame reply_frame_;
 };
 
 }  // namespace topk

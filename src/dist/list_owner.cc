@@ -10,8 +10,14 @@ namespace topk {
 ListOwner::ListOwner(const Database* db, std::vector<size_t> lists)
     : db_(db), lists_(std::move(lists)) {}
 
-Status ListOwner::Serve(const Request& request, Reply* reply) const {
-  reply->Clear();
+void ListOwner::Serve(const Request& request, WireFrame* reply) const {
+  const Status status = Answer(request, reply);
+  if (!status.ok()) {
+    EncodeErrorReply(request.type, status, reply);
+  }
+}
+
+Status ListOwner::Answer(const Request& request, WireFrame* reply) const {
   switch (request.type) {
     case MessageType::kHello:
       return ServeHello(reply);
@@ -24,6 +30,7 @@ Status ListOwner::Serve(const Request& request, Reply* reply) const {
     case MessageType::kProbe:
       // Liveness check: an empty OK reply is the whole answer. The health
       // tracker only needs to know whether the owner responds.
+      EncodeProbeReply(reply);
       return Status::OK();
   }
   return Status::Invalid("ListOwner: unknown message type ",
@@ -38,21 +45,25 @@ Status ListOwner::CheckOwnership(uint32_t list_index) const {
                          " is not served by this owner");
 }
 
-Status ListOwner::ServeHello(Reply* reply) const {
-  reply->catalog.reserve(lists_.size());
+Status ListOwner::ServeHello(WireFrame* reply) const {
   for (size_t index : lists_) {
-    const SortedList& list = db_->list(index);
-    if (list.empty()) {
+    if (db_->list(index).empty()) {
       return Status::Invalid("ListOwner: list ", index, " is empty");
     }
-    reply->catalog.push_back(ListCatalog{
-        static_cast<uint32_t>(index), static_cast<uint32_t>(list.size()),
-        list.MaxScore(), list.MinScore()});
   }
+  EncodeCatalogReply(
+      lists_.size(),
+      [this](size_t i) {
+        const SortedList& list = db_->list(lists_[i]);
+        return ListCatalog{static_cast<uint32_t>(lists_[i]),
+                           static_cast<uint32_t>(list.size()),
+                           list.MaxScore(), list.MinScore()};
+      },
+      reply);
   return Status::OK();
 }
 
-Status ListOwner::ServeWindow(const Request& request, Reply* reply) const {
+Status ListOwner::ServeWindow(const Request& request, WireFrame* reply) const {
   Status owned = CheckOwnership(request.list_index);
   if (!owned.ok()) return owned;
   const SortedList& list = db_->list(request.list_index);
@@ -62,17 +73,15 @@ Status ListOwner::ServeWindow(const Request& request, Reply* reply) const {
                               " outside [1, ", n, "] on list ",
                               request.list_index);
   }
-  const size_t count =
-      std::min<size_t>(request.max_entries, n - (request.start - 1));
-  reply->entries.reserve(count);
-  for (size_t off = 0; off < count; ++off) {
-    reply->entries.push_back(
-        list.EntryAt(static_cast<Position>(request.start + off)));
-  }
+  const size_t first = request.start - 1;
+  const size_t count = std::min<size_t>(request.max_entries, n - first);
+  EncodeRowsReply(MessageType::kSortedWindow, list.items().data() + first,
+                  list.scores().data() + first, count,
+                  /*drained_to_threshold=*/false, reply);
   return Status::OK();
 }
 
-Status ListOwner::ServeDrain(const Request& request, Reply* reply) const {
+Status ListOwner::ServeDrain(const Request& request, WireFrame* reply) const {
   Status owned = CheckOwnership(request.list_index);
   if (!owned.ok()) return owned;
   const SortedList& list = db_->list(request.list_index);
@@ -88,34 +97,33 @@ Status ListOwner::ServeDrain(const Request& request, Reply* reply) const {
   // threshold exactly as a local sorted scan's would. max_entries caps the
   // batch; the coordinator re-drains from the new cursor when a full batch
   // ends while still at/above the threshold.
-  const size_t limit =
-      std::min<size_t>(request.max_entries, n - (request.start - 1));
-  reply->entries.reserve(std::min<size_t>(limit, 64));
-  for (size_t off = 0; off < limit; ++off) {
-    const ListEntry entry =
-        list.EntryAt(static_cast<Position>(request.start + off));
-    reply->entries.push_back(entry);
-    if (entry.score < request.threshold) {
-      reply->drained_to_threshold = true;
-      break;
-    }
+  const size_t first = request.start - 1;
+  const size_t limit = std::min<size_t>(request.max_entries, n - first);
+  const Score* scores = list.scores().data() + first;
+  size_t count = 0;
+  bool drained = false;
+  while (count < limit && !drained) {
+    drained = scores[count++] < request.threshold;
   }
+  EncodeRowsReply(MessageType::kDrain, list.items().data() + first, scores,
+                  count, drained, reply);
   return Status::OK();
 }
 
-Status ListOwner::ServeLookup(const Request& request, Reply* reply) const {
+Status ListOwner::ServeLookup(const Request& request, WireFrame* reply) const {
   Status owned = CheckOwnership(request.list_index);
   if (!owned.ok()) return owned;
   const SortedList& list = db_->list(request.list_index);
   const size_t n = list.size();
-  reply->lookups.reserve(request.items.size());
   for (ItemId item : request.items) {
     if (item >= n) {
       return Status::KeyError("ListOwner: item ", item, " outside [0, ", n,
                               ") on list ", request.list_index);
     }
-    reply->lookups.push_back(list.Lookup(item));
   }
+  EncodeLookupReply(
+      request.items.size(),
+      [&](size_t i) { return list.Lookup(request.items[i]); }, reply);
   return Status::OK();
 }
 

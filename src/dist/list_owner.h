@@ -14,6 +14,10 @@
 // the algorithms. It shares the process's Database here (the in-process
 // transport setting); a real deployment would give each owner its own list
 // storage, and nothing in the interface assumes otherwise.
+//
+// Replies are written straight into an encoded frame (dist/wire_codec.h):
+// windows and drains are packed from the list's items() and scores() arrays,
+// lookups from its by-item index, with no decoded reply in between.
 
 #ifndef TOPK_DIST_LIST_OWNER_H_
 #define TOPK_DIST_LIST_OWNER_H_
@@ -23,6 +27,7 @@
 
 #include "common/status.h"
 #include "dist/messages.h"
+#include "dist/wire_codec.h"
 #include "lists/database.h"
 
 namespace topk {
@@ -35,16 +40,19 @@ class ListOwner {
 
   const std::vector<size_t>& lists() const { return lists_; }
 
-  /// Serves one request into `reply` (cleared first). Requests that name a
-  /// list this owner does not hold, or positions outside [1, n], fail with
-  /// Status::Invalid / OutOfRange — those are coordinator bugs, not faults.
-  Status Serve(const Request& request, Reply* reply) const;
+  /// Serves one request into `reply`, an encoded reply frame overwritten in
+  /// place. Requests that name a list this owner does not hold, or
+  /// positions outside [1, n], are answered with an error frame carrying
+  /// Status::Invalid / OutOfRange / KeyError — coordinator bugs, not faults.
+  void Serve(const Request& request, WireFrame* reply) const;
 
  private:
-  Status ServeHello(Reply* reply) const;
-  Status ServeWindow(const Request& request, Reply* reply) const;
-  Status ServeDrain(const Request& request, Reply* reply) const;
-  Status ServeLookup(const Request& request, Reply* reply) const;
+  /// Encodes the OK reply into `reply`, or returns why it cannot.
+  Status Answer(const Request& request, WireFrame* reply) const;
+  Status ServeHello(WireFrame* reply) const;
+  Status ServeWindow(const Request& request, WireFrame* reply) const;
+  Status ServeDrain(const Request& request, WireFrame* reply) const;
+  Status ServeLookup(const Request& request, WireFrame* reply) const;
 
   /// Resolves request.list_index against lists_, or fails.
   Status CheckOwnership(uint32_t list_index) const;

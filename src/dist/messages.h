@@ -2,15 +2,15 @@
 //
 // Message set of the distributed layer (paper, Section 1's middleware setting
 // distributed across per-list owner nodes): the coordinator speaks four
-// request kinds to a ListOwner shard and counts every exchange in wire bytes.
+// request kinds, plus a health probe, to a ListOwner shard and counts every
+// exchange in wire bytes.
 //
-// The structs are in-memory representations, not serialized frames — the
-// in-process transport hands them across by reference — but WireBytes() prices
-// each message as a compact binary encoding would (a fixed header plus packed
-// payload entries), so the `DistStats` byte counters measure what a socket
-// transport would actually move. That is the metric the distributed top-k
-// literature optimizes (cf. TPUT): message and byte counts per query, not
-// local access counts.
+// The structs are the decoded form of the frames the transports carry:
+// every request and reply is encoded by the wire codec (dist/wire_codec.h)
+// and decoded on the other side, so WireBytes() is the length of a real
+// frame — what a socket transport moves. That is the metric the distributed
+// top-k literature optimizes (cf. TPUT): message and byte counts per query,
+// not local access counts.
 
 #ifndef TOPK_DIST_MESSAGES_H_
 #define TOPK_DIST_MESSAGES_H_
@@ -22,17 +22,6 @@
 #include "lists/types.h"
 
 namespace topk {
-
-/// Fixed per-message framing cost assumed by the byte accounting: type tag,
-/// list index, position/count fields and a length — 16 bytes covers all four
-/// request kinds' scalar fields in a packed encoding.
-inline constexpr size_t kWireHeaderBytes = 16;
-
-/// Wire cost of one (item, score) list entry: 4-byte item id + 8-byte score.
-inline constexpr size_t kWireEntryBytes = sizeof(ItemId) + sizeof(Score);
-
-/// Wire cost of one random-access answer: 8-byte score + 4-byte position.
-inline constexpr size_t kWireLookupBytes = sizeof(Score) + sizeof(Position);
 
 /// The five RPCs of the coordinator/owner protocol.
 enum class MessageType : uint8_t {
@@ -55,9 +44,6 @@ struct ListCatalog {
   Score min_score = 0.0;
 };
 
-/// Wire cost of one catalog entry: two u32 + two scores.
-inline constexpr size_t kWireCatalogBytes = 2 * sizeof(uint32_t) + 2 * sizeof(Score);
-
 /// A coordinator→owner request. One flat struct for all four kinds keeps the
 /// transport signature simple; unused fields are ignored by the owner.
 struct Request {
@@ -77,14 +63,14 @@ struct Request {
   /// Batched random-access items (kRandomLookup).
   std::vector<ItemId> items;
 
-  size_t WireBytes() const {
-    return kWireHeaderBytes + items.size() * sizeof(ItemId);
-  }
+  /// Length of this request's encoded frame (computed from its fields;
+  /// defined beside the encoder in wire_codec.cc).
+  size_t WireBytes() const;
 };
 
-/// An owner→coordinator reply. Which vectors are filled depends on the
-/// request type; Clear() makes one reply reusable across calls without
-/// releasing capacity.
+/// An owner→coordinator reply, as decoded from its frame. Which vectors are
+/// filled depends on the request type; Clear() makes one reply reusable
+/// across calls without releasing capacity.
 struct Reply {
   /// kHello: the owner's lists.
   std::vector<ListCatalog> catalog;
@@ -102,16 +88,18 @@ struct Reply {
   /// false when it stopped at max_entries or the end of the list.
   bool drained_to_threshold = false;
 
-  size_t WireBytes() const {
-    return kWireHeaderBytes + catalog.size() * kWireCatalogBytes +
-           entries.size() * kWireEntryBytes + lookups.size() * kWireLookupBytes;
-  }
+  /// Length of the frame this reply was decoded from (set by DecodeReply,
+  /// so reading it is O(1)); 0 for a reply that never crossed the wire.
+  size_t frame_bytes = 0;
+
+  size_t WireBytes() const { return frame_bytes; }
 
   void Clear() {
     catalog.clear();
     entries.clear();
     lookups.clear();
     drained_to_threshold = false;
+    frame_bytes = 0;
   }
 };
 

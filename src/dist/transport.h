@@ -10,6 +10,12 @@
 // from a seed — the same discipline as FaultInjectingAccessEngine, one layer
 // up. An eventual socket transport implements the same interface with real
 // wall-clock latencies.
+//
+// Calls round-trip frames: a transport that reaches owners encodes each
+// request and decodes each reply with the wire codec (dist/wire_codec.h), so
+// Request::WireBytes() and Reply::WireBytes() are real frame lengths. Such a
+// transport keeps scratch frames between calls, so one coordinator thread
+// drives a transport at a time.
 
 #ifndef TOPK_DIST_TRANSPORT_H_
 #define TOPK_DIST_TRANSPORT_H_
@@ -38,7 +44,9 @@ class Transport {
   virtual size_t num_owners() const = 0;
 
   /// Delivers `request` to `owner` and fills `reply` (cleared first by the
-  /// implementation). Returns Unavailable when the message is lost or the
+  /// implementation) from the decoded reply frame; an owner's refusal
+  /// (a coordinator bug) comes back as its Status. Returns Unavailable when
+  /// the message is lost or the
   /// owner is dead; `result->latency_ms` is set on success AND failure (a
   /// lost message still costs the caller its RPC deadline).
   virtual Status Call(size_t owner, const Request& request, Reply* reply,

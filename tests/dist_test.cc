@@ -30,6 +30,7 @@
 #include "dist/fault_injecting_transport.h"
 #include "dist/in_process_transport.h"
 #include "dist/list_owner.h"
+#include "dist/wire_codec.h"
 #include "gen/database_generator.h"
 #include "gen/paper_fixtures.h"
 #include "lists/scorer.h"
@@ -187,13 +188,21 @@ class ScriptedDelayTransport : public Transport {
 
 // ---- ListOwner ----
 
+// Serves `request` at `owner` and decodes the reply frame, as a transport
+// does.
+Status Serve(const ListOwner& owner, const Request& request, Reply* reply) {
+  WireFrame frame;
+  owner.Serve(request, &frame);
+  return DecodeReply(frame, reply);
+}
+
 TEST(ListOwnerTest, HelloAdvertisesCatalog) {
   const Database db = MakeUniformDatabase(100, 3, 7);
   const ListOwner owner(&db, {0, 2});
   Request request;
   request.type = MessageType::kHello;
   Reply reply;
-  ASSERT_TRUE(owner.Serve(request, &reply).ok());
+  ASSERT_TRUE(Serve(owner, request, &reply).ok());
   ASSERT_EQ(reply.catalog.size(), 2u);
   EXPECT_EQ(reply.catalog[0].list_index, 0u);
   EXPECT_EQ(reply.catalog[1].list_index, 2u);
@@ -211,7 +220,7 @@ TEST(ListOwnerTest, WindowServesConsecutiveRows) {
   request.start = 11;
   request.max_entries = 8;
   Reply reply;
-  ASSERT_TRUE(owner.Serve(request, &reply).ok());
+  ASSERT_TRUE(Serve(owner, request, &reply).ok());
   ASSERT_EQ(reply.entries.size(), 8u);
   for (size_t off = 0; off < reply.entries.size(); ++off) {
     const ListEntry expected = db.list(1).EntryAt(11 + off);
@@ -229,7 +238,7 @@ TEST(ListOwnerTest, WindowClampsAtListEnd) {
   request.start = 18;
   request.max_entries = 64;
   Reply reply;
-  ASSERT_TRUE(owner.Serve(request, &reply).ok());
+  ASSERT_TRUE(Serve(owner, request, &reply).ok());
   EXPECT_EQ(reply.entries.size(), 3u);  // positions 18, 19, 20
 }
 
@@ -244,7 +253,7 @@ TEST(ListOwnerTest, DrainIncludesFirstBelowThresholdEntry) {
   request.max_entries = 200;
   request.threshold = threshold;
   Reply reply;
-  ASSERT_TRUE(owner.Serve(request, &reply).ok());
+  ASSERT_TRUE(Serve(owner, request, &reply).ok());
   ASSERT_TRUE(reply.drained_to_threshold);
   // Every entry but the last is >= threshold; the last is the first one
   // strictly below it (the coordinator's cursor must end below the
@@ -264,7 +273,7 @@ TEST(ListOwnerTest, LookupAnswersInRequestOrder) {
   request.list_index = 2;
   request.items = {7, 3, 42};
   Reply reply;
-  ASSERT_TRUE(owner.Serve(request, &reply).ok());
+  ASSERT_TRUE(Serve(owner, request, &reply).ok());
   ASSERT_EQ(reply.lookups.size(), 3u);
   for (size_t idx = 0; idx < request.items.size(); ++idx) {
     const ItemLookup expected = db.list(2).Lookup(request.items[idx]);
@@ -282,10 +291,10 @@ TEST(ListOwnerTest, RejectsForeignListAndBadPositions) {
   request.start = 1;
   request.max_entries = 4;
   Reply reply;
-  EXPECT_TRUE(owner.Serve(request, &reply).IsInvalid());
+  EXPECT_TRUE(Serve(owner, request, &reply).IsInvalid());
   request.list_index = 0;
   request.start = 31;  // outside [1, n]
-  EXPECT_TRUE(owner.Serve(request, &reply).IsOutOfRange());
+  EXPECT_TRUE(Serve(owner, request, &reply).IsOutOfRange());
 }
 
 // ---- FaultInjectingTransport ----
@@ -596,18 +605,55 @@ TEST(DistCoordinatorTest, TputRejectsNonSumScorer) {
                   .IsNotImplemented());
 }
 
+// A transport decorator that re-encodes every request and every answered
+// reply it carries and sums the frame lengths.
+class RecordingTransport : public Transport {
+ public:
+  explicit RecordingTransport(Transport* inner) : inner_(inner) {}
+
+  size_t num_owners() const override { return inner_->num_owners(); }
+
+  Status Call(size_t owner, const Request& request, Reply* reply,
+              CallResult* result) override {
+    const Status status = inner_->Call(owner, request, reply, result);
+    ++calls;
+    EncodeRequest(request, &frame_);
+    request_bytes += frame_.size();
+    if (status.ok()) {
+      EncodeReply(request.type, *reply, &frame_);
+      reply_bytes += frame_.size();
+    }
+    return status;
+  }
+
+  void Reset() { calls = request_bytes = reply_bytes = 0; }
+
+  uint64_t calls = 0;
+  uint64_t request_bytes = 0;
+  uint64_t reply_bytes = 0;
+
+ private:
+  Transport* inner_;
+  WireFrame frame_;
+};
+
 TEST(DistCoordinatorTest, CountsMessagesAndBytes) {
   const Database db = MakeUniformDatabase(300, 3, 31);
   SumScorer sum;
-  InProcessTransport transport = InProcessTransport::PerListOwners(db);
+  InProcessTransport inner = InProcessTransport::PerListOwners(db);
+  RecordingTransport transport(&inner);
   Coordinator coordinator(&transport, DistOptions{});
   ASSERT_TRUE(coordinator.Connect().ok());
+  transport.Reset();  // the query's exchanges only
   const TopKResult result =
       coordinator.ExecuteBpa(TopKQuery{5, &sum}).ValueOrDie();
   const DistStats& stats = coordinator.stats();
   EXPECT_GT(stats.messages_sent, 0u);
   EXPECT_EQ(stats.messages_sent, stats.replies_received);
-  EXPECT_GE(stats.bytes_sent, stats.messages_sent * kWireHeaderBytes);
+  // The byte counters are exactly the encoded frame lengths.
+  EXPECT_EQ(stats.messages_sent, transport.calls);
+  EXPECT_EQ(stats.bytes_sent, transport.request_bytes);
+  EXPECT_EQ(stats.bytes_received, transport.reply_bytes);
   EXPECT_GT(stats.bytes_received, stats.bytes_sent);
   EXPECT_EQ(stats.retries, 0u);
   EXPECT_EQ(stats.timeouts, 0u);
@@ -1623,8 +1669,8 @@ TEST(DistWireTimelineTest, FaultFreeTotalsArePinned) {
   const Database db = MakeUniformDatabase(2000, 4, 77);
   SumScorer sum;
   const TopKQuery query{500, &sum};
-  const WireTotals bpa{104, 104, 22868, 105212, 26, 1.3000000000000005};
-  const WireTotals tput{40, 40, 5436, 72880, 3, 0.49999999999999994};
+  const WireTotals bpa{104, 104, 22764, 91796, 26, 1.3000000000000005};
+  const WireTotals tput{40, 40, 5492, 53736, 3, 0.49999999999999994};
   for (const uint32_t replicas : {1u, 2u}) {
     SCOPED_TRACE(replicas);
     InProcessTransport transport =

@@ -13,6 +13,8 @@
 #include <new>
 
 #include "core/algorithms.h"
+#include "dist/in_process_transport.h"
+#include "dist/wire_codec.h"
 #include "gen/database_generator.h"
 #include "lists/scorer.h"
 
@@ -242,6 +244,81 @@ TEST(ZeroAllocTest, WarmedFaultInjectedQueriesDoNotAllocate) {
     EXPECT_TRUE(all_ok);
     EXPECT_EQ(allocs, 0u);
   }
+}
+
+// One request of each message type against list 1 of an n = 10000 database.
+std::vector<Request> OneRequestOfEachType(const Database& db) {
+  std::vector<Request> requests(kMessageTypeCount);
+  for (size_t t = 0; t < kMessageTypeCount; ++t) {
+    requests[t].type = static_cast<MessageType>(t);
+    requests[t].list_index = 1;
+    requests[t].start = 100;
+    requests[t].max_entries = 1024;
+  }
+  requests[static_cast<size_t>(MessageType::kDrain)].threshold =
+      db.list(1).EntryAt(700).score;
+  for (ItemId item = 0; item < 200; ++item) {
+    requests[static_cast<size_t>(MessageType::kRandomLookup)].items.push_back(
+        item * 37);
+  }
+  return requests;
+}
+
+// A warmed encode -> decode of each message type reuses its frames and
+// messages.
+TEST(ZeroAllocTest, WarmedWireCodecRoundTripsDoNotAllocate) {
+  const Database db = MakeUniformDatabase(10000, 5, 42);
+  InProcessTransport transport = InProcessTransport::PerListOwners(db);
+  const std::vector<Request> requests = OneRequestOfEachType(db);
+  std::vector<Reply> replies(requests.size());
+  CallResult call;
+  for (size_t t = 0; t < requests.size(); ++t) {  // the replies to encode
+    ASSERT_TRUE(
+        transport.Call(1, requests[t], &replies[t], &call).ok());
+  }
+  WireFrame frame;
+  Request request;
+  Reply reply;
+  bool all_ok = true;
+  const auto round_trips = [&] {
+    for (size_t t = 0; t < requests.size(); ++t) {
+      EncodeRequest(requests[t], &frame);
+      all_ok &= DecodeRequest(frame, &request).ok();
+      EncodeReply(requests[t].type, replies[t], &frame);
+      all_ok &= DecodeReply(frame, &reply).ok();
+    }
+  };
+  round_trips();  // warm-up
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int i = 0; i < 5; ++i) {
+    round_trips();
+  }
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_TRUE(all_ok);
+}
+
+// A warmed InProcessTransport::Call of each message type — request encoded
+// and decoded, the owner serving into its reply frame, the frame decoded —
+// allocates nothing.
+TEST(ZeroAllocTest, WarmedInProcessCallsDoNotAllocate) {
+  const Database db = MakeUniformDatabase(10000, 5, 42);
+  InProcessTransport transport = InProcessTransport::PerListOwners(db);
+  const std::vector<Request> requests = OneRequestOfEachType(db);
+  Reply reply;
+  CallResult call;
+  bool all_ok = true;
+  const auto calls = [&] {
+    for (const Request& request : requests) {
+      all_ok &= transport.Call(1, request, &reply, &call).ok();
+    }
+  };
+  calls();  // warm-up
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int i = 0; i < 5; ++i) {
+    calls();
+  }
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_TRUE(all_ok);
 }
 
 TEST(ZeroAllocTest, HookCountsAllocations) {
