@@ -184,7 +184,7 @@ Status RunTputLoop(const AlgorithmOptions& options, const TopKQuery& query,
   list_depths.assign(m, depth);
   if constexpr (!IoT::kLocal) {
     // One round; refills become drains whose threshold stop runs at the
-    // list's owner, one message per 12 windows of rows.
+    // list's owner, one message per 16 windows of rows.
     io.BeginRound();
     io.DrainTo(threshold);
   }

@@ -31,7 +31,7 @@
 //
 // RemoteListIo batches the loops' accesses so the wire carries few large
 // messages in few rounds — sorted access in windows of window_rows rows (in
-// TPUT phase 2, kDrains of up to 12 windows with an owner-side threshold
+// TPUT phase 2, kDrains of up to 16 windows with an owner-side threshold
 // stop), random access in one lookup vector per list per BPA window of rows
 // or TPUT phase 3 — the metrics the distributed top-k literature optimizes
 // (messages, bytes and rounds per query). The requests of one round fan out
@@ -79,7 +79,7 @@ namespace topk {
 /// any transport with at least one owner.
 struct DistOptions {
   /// Sorted-access batching: rows fetched per kSortedWindow message. A
-  /// TPUT phase-2 kDrain fetches up to 12 windows (its owner-side threshold
+  /// TPUT phase-2 kDrain fetches up to 16 windows (its owner-side threshold
   /// stop, not the cap, decides how many rows it ships).
   uint32_t window_rows = 64;
 

@@ -15,12 +15,12 @@ namespace {
 // extra rows; it only cuts the messages (each paying the transport's base
 // latency and its own chance of a delay) that TPUT's phase 2 costs. The cap
 // also bounds how long one reply takes, and a reply that outlasts the hedge
-// timer is sent twice: at the default window_rows a full 12-window reply
-// (768 rows, ~9.2 KB) takes ~0.79 ms on a 100 Mbit/s link with 0.05 ms base
-// latency, under the default 1 ms hedge_floor_ms; 16 windows (~1.04 ms)
-// would have each list's first drains hedged in duplicate while its owner's
-// latency ring is still short.
-constexpr uint64_t kDrainWindows = 12;
+// timer is sent twice. Packed by the wire codec at ~8 bytes a row, a full
+// 16-window reply at the default window_rows (1024 rows, ~8.2 KB) takes
+// ~0.71 ms on a 100 Mbit/s link with 0.05 ms base latency, under the
+// default 1 ms hedge_floor_ms, and drains keep their own hedge timer, so a
+// drain is not hedged in duplicate for being long.
+constexpr uint64_t kDrainWindows = 16;
 
 }  // namespace
 

@@ -487,10 +487,10 @@ TEST(DistCoordinatorTest, WindowSizeDoesNotChangeAnswers) {
             narrow_tput.stats.sorted_accesses);
 }
 
-TEST(DistCoordinatorTest, DrainsShipPhaseTwoInTwelveWindowMessages) {
-  // A kDrain asks for 12 windows of rows. The owner's threshold stop ends
+TEST(DistCoordinatorTest, DrainsShipPhaseTwoInSixteenWindowMessages) {
+  // A kDrain asks for 16 windows of rows. The owner's threshold stop ends
   // each list's drain where a local scan stops, so the drains ship exactly
-  // the loop's phase-2 rows, in ceil(rows / (12 * window_rows)) messages
+  // the loop's phase-2 rows, in ceil(rows / (16 * window_rows)) messages
   // per list, and the answer and access counts are single-node TPUT's. On
   // a 100 Mbit/s link a full drain reply still returns inside the 1 ms
   // hedge floor, so no drain is hedged in duplicate for being long.
@@ -519,7 +519,7 @@ TEST(DistCoordinatorTest, DrainsShipPhaseTwoInTwelveWindowMessages) {
       drained_rows[exchange.list_index] += exchange.rows;
     }
   }
-  const uint64_t drain_rows = 12 * uint64_t{options.window_rows};
+  const uint64_t drain_rows = 16 * uint64_t{options.window_rows};
   uint64_t phase_two_rows = 0;
   for (size_t i = 0; i < m; ++i) {
     SCOPED_TRACE(i);
