@@ -244,8 +244,8 @@ class Coordinator {
   /// timer reads its percentile in O(1) instead of selecting it per attempt.
   struct LatencyRing {
     static constexpr size_t kSamples = 64;
-    double arrival[kSamples];
-    double sorted[kSamples];
+    double arrival[kSamples] = {};
+    double sorted[kSamples] = {};
     uint32_t count = 0;  ///< samples recorded, including evicted ones
 
     void Record(double latency_ms);

@@ -70,7 +70,7 @@ uint8_t* PutColumn(const T* values, size_t rows, unsigned width,
 template <size_t W>
 uint64_t LoadBytes(const uint8_t* in) {
   if constexpr (W >= 4) {
-    uint32_t low;
+    uint32_t low = 0;
     std::memcpy(&low, in, sizeof(low));
     if constexpr (W == 4) {
       return low;
@@ -78,7 +78,7 @@ uint64_t LoadBytes(const uint8_t* in) {
       return low | LoadBytes<W - 4>(in + 4) << 32;
     }
   } else if constexpr (W >= 2) {
-    uint16_t low;
+    uint16_t low = 0;
     std::memcpy(&low, in, sizeof(low));
     if constexpr (W == 2) {
       return low;
@@ -110,9 +110,11 @@ void DecodeBlockAt(const uint8_t* deltas, const uint8_t* items, size_t rows,
   *prev = key;
 }
 
-constexpr size_t kItemWidths = sizeof(ItemId) + 1;  // 0..4 bytes
+// A block's key deltas take 0..8 bytes and its item ids 0..4.
+constexpr size_t kItemWidths = sizeof(ItemId) + 1;
 
-// One decoder per (key width, item width), indexed key_width * 5 + item_width.
+// One decoder per (key width, item width), indexed
+// key_width * kItemWidths + item_width.
 template <size_t... Index>
 constexpr std::array<DecodeBlockFn, sizeof...(Index)> DecodeBlockTable(
     std::index_sequence<Index...>) {
@@ -188,8 +190,8 @@ void EncodeRows(MessageType type, size_t count, const ItemAt& item_at,
   if (count > 0) {
     uint64_t prev = ScoreKey(score_at(0));
     out = Put(out, prev);
-    uint64_t deltas[kBlockRows];
-    ItemId items[kBlockRows];
+    uint64_t deltas[kBlockRows] = {};
+    ItemId items[kBlockRows] = {};
     for (size_t base = 0; base < count; base += kBlockRows) {
       const size_t rows = std::min(count - base, kBlockRows);
       uint64_t delta_bits = 0;
