@@ -38,11 +38,13 @@ unsigned ByteWidth(uint64_t value) {
   return (static_cast<unsigned>(std::bit_width(value)) + 7) / 8;
 }
 
+// Writes the low W bytes of each value. A block's width never exceeds
+// sizeof(T) (it is the ByteWidth of T values), so wider instances are empty.
 template <size_t W, typename T>
 uint8_t* PutColumnAt(const T* values, size_t rows, uint8_t* out) {
-  if constexpr (W > 0) {
+  if constexpr (W > 0 && W <= sizeof(T)) {
     for (size_t i = 0; i < rows; ++i) {
-      std::memcpy(out + i * W, &values[i], W);  // the low W bytes
+      std::memcpy(out + i * W, &values[i], W);
     }
   }
   return out + rows * W;

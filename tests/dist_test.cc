@@ -1450,7 +1450,7 @@ TEST(DistReplicaTest, ChaosSoakExactOrCertifiedUnderDeadline) {
         plan.delay_ms = 2.0;
         plan.owner_death_rate = 0.15;
         plan.death_min_messages = 2;
-        plan.death_max_messages = 6;  // an owner serves ~5 per query
+        plan.death_max_messages = 6;  // an owner serves ~5 per dBPA query
         if (seed % 2 == 0) {
           plan.kill_owner = InProcessTransport::OwnerIndex(4, seed / 2 % 4, 0);
           plan.kill_after_messages = 2;
